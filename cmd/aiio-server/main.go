@@ -54,6 +54,10 @@
 // 429 + Retry-After. Each model carries a circuit breaker that takes it
 // out of rotation after -breaker-threshold consecutive failures.
 //
+// A flag that tunes a feature left off (-rollback-ratio without -drift-psi,
+// -retrain-after without -joblog-dir, ...) is refused at startup rather
+// than silently ignored.
+//
 // Models are loaded from the versioned, checksummed registry: a corrupt
 // generation is rejected and the newest older generation serves instead
 // (surfaced on /readyz), so a torn write or bit rot degrades the server
@@ -73,6 +77,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -123,10 +128,51 @@ func installStoreCrashHook(store *core.Store) {
 	})
 }
 
+// validateFlags refuses flag combinations in which a flag would silently do
+// nothing because the feature it tunes is off. set maps each flag given on
+// the command line (flag.Visit) to its value.
+func validateFlags(set map[string]string) error {
+	given := func(name string) bool {
+		v, ok := set[name]
+		return ok && v != "" && v != "0" && v != "0s"
+	}
+	disabled := func(name string) bool {
+		_, ok := set[name]
+		return ok && !given(name)
+	}
+	rules := []struct {
+		off      bool
+		needs    string
+		prefixes []string
+	}{
+		{!given("drift-psi"), "-drift-psi",
+			[]string{"rollback-", "drift-min-", "drift-window", "drift-error-ratio", "canary-"}},
+		{!given("joblog-dir"), "-joblog-dir", []string{"retrain-", "warm-", "ingest-inflight"}},
+		{!given("peers"), "-peers", []string{"sync-interval"}},
+		{disabled("coalesce-window"), "a non-zero -coalesce-window", []string{"coalesce-max"}},
+		{disabled("breaker-threshold"), "a non-zero -breaker-threshold", []string{"breaker-cooldown"}},
+	}
+	names := make([]string, 0, len(set))
+	for name := range set {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, r := range rules {
+			for _, p := range r.prefixes {
+				if r.off && strings.HasPrefix(name, p) {
+					return fmt.Errorf("-%s has no effect without %s", name, r.needs)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 func main() {
 	modelsDir := flag.String("models", "models", "model registry directory")
 	addr := flag.String("addr", ":8080", "listen address")
-	interp := flag.String("interpreter", "shap", "shap, treeshap or lime")
+	interp := flag.String("interpreter", "shap", "shap or lime (-shap-mode picks the SHAP estimator)")
 	shapMode := flag.String("shap-mode", "auto",
 		"SHAP estimator: auto (exact TreeSHAP for tree models, Kernel SHAP otherwise), kernel, or tree")
 	parallel := flag.Int("parallel", 0, "diagnosis worker pool size (0 = GOMAXPROCS)")
@@ -192,6 +238,11 @@ func main() {
 	rollbackWatch := flag.Int("rollback-watch", 0,
 		"labeled jobs the post-promotion watch covers before a promotion is judged safe (0 = default 200)")
 	flag.Parse()
+	set := make(map[string]string)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() })
+	if err := validateFlags(set); err != nil {
+		log.Fatalf("aiio-server: %v", err)
+	}
 
 	store := core.OpenStore(*modelsDir)
 	installStoreCrashHook(store)

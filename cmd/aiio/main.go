@@ -220,7 +220,7 @@ func cmdDiagnose(args []string) error {
 	modelsDir := fs.String("models", "models", "model registry directory")
 	logPath := fs.String("log", "", "Darshan text log to diagnose (further logs may follow as positional arguments)")
 	top := fs.Int("top", 9, "factors to display")
-	interp := fs.String("interpreter", "shap", "shap, treeshap or lime")
+	interp := fs.String("interpreter", "shap", "shap or lime (-shap-mode picks the SHAP estimator)")
 	shapMode := fs.String("shap-mode", "auto",
 		"SHAP estimator: auto (exact TreeSHAP for tree models, Kernel SHAP otherwise), kernel, or tree")
 	parallel := fs.Int("parallel", 0, "diagnosis worker pool size (0 = GOMAXPROCS)")

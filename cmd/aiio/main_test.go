@@ -46,8 +46,8 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("diagnose: %v", err)
 	}
 	if err := cmdDiagnose([]string{"-models", models, "-log", logPath,
-		"-interpreter", "treeshap"}); err != nil {
-		t.Fatalf("diagnose treeshap: %v", err)
+		"-shap-mode", "auto"}); err != nil {
+		t.Fatalf("diagnose -shap-mode auto: %v", err)
 	}
 }
 

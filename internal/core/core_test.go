@@ -9,6 +9,7 @@ import (
 	"github.com/hpc-repro/aiio/internal/features"
 	"github.com/hpc-repro/aiio/internal/iosim"
 	"github.com/hpc-repro/aiio/internal/logdb"
+	"github.com/hpc-repro/aiio/internal/shap"
 	"github.com/hpc-repro/aiio/internal/workload"
 )
 
@@ -333,7 +334,7 @@ func TestDiagnoseWithTreeSHAP(t *testing.T) {
 	_, ens, _ := fixture(t)
 	rec := slowJob(t)
 	opts := fastDiagOpts()
-	opts.Interpreter = InterpreterTreeSHAP
+	opts.SHAPMode = shap.ModeAuto
 	diag, err := ens.Diagnose(rec, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +352,9 @@ func TestDiagnoseWithTreeSHAP(t *testing.T) {
 		}
 	}
 	// TreeSHAP and Kernel SHAP (sampled) must broadly agree on the GBDTs.
-	kdiag, err := ens.Diagnose(rec, fastDiagOpts())
+	kopts := fastDiagOpts()
+	kopts.SHAPMode = shap.ModeKernel
+	kdiag, err := ens.Diagnose(rec, kopts)
 	if err != nil {
 		t.Fatal(err)
 	}

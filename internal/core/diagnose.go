@@ -21,14 +21,9 @@ type Interpreter string
 
 // The supported interpreters.
 const (
-	// InterpreterSHAP runs Kernel SHAP against every model (the paper's
-	// model-agnostic default).
+	// InterpreterSHAP runs SHAP against every model; SHAPMode picks the
+	// estimator per model.
 	InterpreterSHAP Interpreter = "shap"
-	// InterpreterTreeSHAP uses the exact closed-form TreeSHAP for the
-	// boosted-tree models and Kernel SHAP for the neural ones — the hybrid
-	// the shap package applies automatically. Identical semantics (zero
-	// background, interventional), exact values, much faster on trees.
-	InterpreterTreeSHAP Interpreter = "treeshap"
 	// InterpreterLIME runs LIME; its scale differs from SHAP and results
 	// are never merged across interpreters (Section 3.3).
 	InterpreterLIME Interpreter = "lime"
@@ -37,14 +32,13 @@ const (
 // DiagnoseOptions configures a diagnosis.
 type DiagnoseOptions struct {
 	Interpreter Interpreter
-	// SHAPMode selects the estimator per model under the SHAP interpreters
+	// SHAPMode selects the estimator per model under InterpreterSHAP
 	// (the -shap-mode flag): shap.ModeAuto routes the boosted-tree models to
 	// the exact TreeSHAP fast path and the neural ones to Kernel SHAP;
 	// shap.ModeKernel forces Kernel SHAP everywhere (the paper's uniform
 	// setup); shap.ModeTree requires the tree path, so a neural model's
 	// diagnosis fails and the merge degrades to the tree survivors. Empty
-	// derives the mode from Interpreter: InterpreterSHAP → kernel,
-	// InterpreterTreeSHAP → auto.
+	// means shap.ModeKernel.
 	SHAPMode shap.Mode
 	SHAP     shap.Config
 	LIME     lime.Config
@@ -154,7 +148,7 @@ func (e *Ensemble) DiagnoseContext(ctx context.Context, rec *darshan.Record, opt
 		opts.Interpreter = InterpreterSHAP
 	}
 	switch opts.Interpreter {
-	case InterpreterSHAP, InterpreterTreeSHAP, InterpreterLIME:
+	case InterpreterSHAP, InterpreterLIME:
 	default:
 		return nil, fmt.Errorf("core: unknown interpreter %q", opts.Interpreter)
 	}
@@ -248,7 +242,7 @@ func (e *Ensemble) DiagnoseContext(ctx context.Context, rec *darshan.Record, opt
 func diagnoseModel(ctx context.Context, m Model, x []float64, opts DiagnoseOptions) (ModelDiagnosis, error) {
 	md := ModelDiagnosis{Name: m.Name()}
 	switch opts.Interpreter {
-	case InterpreterSHAP, InterpreterTreeSHAP:
+	case InterpreterSHAP:
 		att, err := attributorFor(m, opts)
 		if err != nil {
 			return md, err
@@ -283,17 +277,12 @@ func diagnoseModel(ctx context.Context, m Model, x []float64, opts DiagnoseOptio
 }
 
 // attributorFor selects one model's SHAP estimator through the shap.ForModel
-// dispatcher: the effective mode is opts.SHAPMode, or — when unset — kernel
-// under InterpreterSHAP and auto under InterpreterTreeSHAP (the historical
-// meanings of the two interpreter values). The zero background is AIIO's
-// Section 3.3 filter.
+// dispatcher: the effective mode is opts.SHAPMode, or kernel when unset.
+// The zero background is AIIO's Section 3.3 filter.
 func attributorFor(m Model, opts DiagnoseOptions) (shap.Attributor, error) {
 	mode := opts.SHAPMode
 	if mode == "" {
 		mode = shap.ModeKernel
-		if opts.Interpreter == InterpreterTreeSHAP {
-			mode = shap.ModeAuto
-		}
 	}
 	tree, _ := TreeModel(m)
 	return shap.ForModel(m.PredictBatch, tree, nil, mode, opts.SHAP)

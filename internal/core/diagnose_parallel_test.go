@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/hpc-repro/aiio/internal/darshan"
+	"github.com/hpc-repro/aiio/internal/shap"
 )
 
 // assertDiagnosisBitwiseEqual fails unless every numeric field of two
@@ -50,32 +51,41 @@ func assertDiagnosisBitwiseEqual(t *testing.T, label string, seq, par *Diagnosis
 
 // TestDiagnoseParallelDeterminism asserts that the parallel per-model path
 // produces bitwise-identical output to the sequential path for every
-// interpreter: each model's explainer is independently seeded and slot i of
-// PerModel is owned by exactly one worker, so no reduction order depends on
-// scheduling.
+// interpreter and SHAP estimator mode: each model's explainer is
+// independently seeded and slot i of PerModel is owned by exactly one
+// worker, so no reduction order depends on scheduling.
 func TestDiagnoseParallelDeterminism(t *testing.T) {
 	_, ens, _ := fixture(t)
 	rec := slowJob(t)
 
-	for _, interp := range []Interpreter{InterpreterSHAP, InterpreterTreeSHAP, InterpreterLIME} {
+	for _, variant := range []struct {
+		name   string
+		interp Interpreter
+		mode   shap.Mode
+	}{
+		{"shap/kernel", InterpreterSHAP, shap.ModeKernel},
+		{"shap/auto", InterpreterSHAP, shap.ModeAuto},
+		{"lime", InterpreterLIME, ""},
+	} {
 		opts := fastDiagOpts()
-		opts.Interpreter = interp
+		opts.Interpreter = variant.interp
+		opts.SHAPMode = variant.mode
 
 		seqOpts := opts
 		seqOpts.Parallelism = 1
 		seq, err := ens.Diagnose(rec, seqOpts)
 		if err != nil {
-			t.Fatalf("%s: sequential: %v", interp, err)
+			t.Fatalf("%s: sequential: %v", variant.name, err)
 		}
 		for _, workers := range []int{2, 4, 16} {
 			parOpts := opts
 			parOpts.Parallelism = workers
 			par, err := ens.Diagnose(rec, parOpts)
 			if err != nil {
-				t.Fatalf("%s: parallel(%d): %v", interp, workers, err)
+				t.Fatalf("%s: parallel(%d): %v", variant.name, workers, err)
 			}
 			assertDiagnosisBitwiseEqual(t,
-				string(interp)+"/workers="+strconv.Itoa(workers), seq, par)
+				variant.name+"/workers="+strconv.Itoa(workers), seq, par)
 		}
 	}
 }

@@ -123,46 +123,31 @@ func TestSHAPModeUnknownRejected(t *testing.T) {
 	}
 }
 
-// TestSHAPModeEmptyDerivesFromInterpreter: the legacy interpreter values
-// keep their historical meaning when SHAPMode is unset — InterpreterSHAP is
-// uniform Kernel SHAP, InterpreterTreeSHAP is the auto hybrid.
+// TestSHAPModeEmptyDerivesFromInterpreter: an unset SHAPMode under
+// InterpreterSHAP is uniform Kernel SHAP, identical to an explicit
+// shap.ModeKernel.
 func TestSHAPModeEmptyDerivesFromInterpreter(t *testing.T) {
 	_, ens, _ := fixture(t)
 	rec := sparseJob()
 
-	legacyKernel := fastDiagOpts()
-	legacyKernel.Interpreter = InterpreterSHAP
-	legacyKernel.SHAPMode = ""
-	explicitKernel := fastDiagOpts()
-	explicitKernel.SHAPMode = shap.ModeKernel
+	unset := fastDiagOpts()
+	unset.SHAPMode = ""
+	explicit := fastDiagOpts()
+	explicit.SHAPMode = shap.ModeKernel
 
-	legacyAuto := fastDiagOpts()
-	legacyAuto.Interpreter = InterpreterTreeSHAP
-	legacyAuto.SHAPMode = ""
-	explicitAuto := fastDiagOpts()
-	explicitAuto.SHAPMode = shap.ModeAuto
-
-	for _, pair := range []struct {
-		name string
-		a, b DiagnoseOptions
-	}{
-		{"kernel", legacyKernel, explicitKernel},
-		{"auto", legacyAuto, explicitAuto},
-	} {
-		da, err := ens.Diagnose(rec, pair.a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := ens.Diagnose(rec, pair.b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range da.PerModel {
-			for j := range da.PerModel[i].Contributions {
-				if da.PerModel[i].Contributions[j] != db.PerModel[i].Contributions[j] {
-					t.Fatalf("%s: legacy and explicit dispatch differ on %s phi[%d]",
-						pair.name, da.PerModel[i].Name, j)
-				}
+	da, err := ens.Diagnose(rec, unset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := ens.Diagnose(rec, explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range da.PerModel {
+		for j := range da.PerModel[i].Contributions {
+			if da.PerModel[i].Contributions[j] != db.PerModel[i].Contributions[j] {
+				t.Fatalf("unset and explicit kernel dispatch differ on %s phi[%d]",
+					da.PerModel[i].Name, j)
 			}
 		}
 	}

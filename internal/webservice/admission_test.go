@@ -369,14 +369,14 @@ func TestUploadHotSwapRollbackOnInvalidModel(t *testing.T) {
 	srv := httptest.NewServer(ws.Handler())
 	defer srv.Close()
 
-	before, _, versionBefore := ws.snapshot()
+	before := ws.view.Load()
 
 	// A gob stream that decodes but predicts garbage dimensions: a tiny
 	// model trained on the wrong feature count, aimed at an existing
 	// model name so a validation miss would replace a live model.
 	bad := badDimensionModelGob(t)
 	resp, err := srv.Client().Post(
-		srv.URL+"/api/v1/models?name="+before.Models[0].Name()+"&kind=mlp",
+		srv.URL+"/api/v1/models?name="+before.ens.Models[0].Name()+"&kind=mlp",
 		"application/octet-stream", bytes.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
@@ -393,11 +393,11 @@ func TestUploadHotSwapRollbackOnInvalidModel(t *testing.T) {
 	if err := json.Unmarshal(body, &e); err != nil || !e.RolledBack {
 		t.Fatalf("rollback not structured: %s", body)
 	}
-	after, _, versionAfter := ws.snapshot()
-	if versionAfter != versionBefore {
+	after := ws.view.Load()
+	if after.version != before.version {
 		t.Fatal("failed upload bumped the model-set version")
 	}
-	if after.Models[0] != before.Models[0] {
+	if after.ens.Models[0] != before.ens.Models[0] {
 		t.Fatal("failed upload replaced the live model — rollback did not happen")
 	}
 	// And the old set still diagnoses.

@@ -2,7 +2,6 @@ package webservice
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
@@ -10,19 +9,23 @@ import (
 	"github.com/hpc-repro/aiio/internal/darshan"
 )
 
-// Request micro-batch coalescing: single-job diagnose requests that arrive
-// within a small window are fused into one DiagnoseBatch call behind the
-// admission funnel, and the per-job results are demultiplexed back to their
-// callers. Two effects stack:
+// Request micro-batch coalescing: single-job diagnose requests that miss
+// the cache within a small window are gathered, deduplicated, run through
+// one diagnoseMisses pass, and the per-job results are demultiplexed back
+// to their callers (the shape of x/sync's singleflight, over a window).
+// Two effects stack:
 //
 //   - N distinct jobs in a window become one sharded ensemble pass instead
-//     of N independent passes — one snapshot, one breaker partition, one
-//     outcome accounting, and the batch engine's row-paired kernels.
+//     of N independent passes — one breaker partition, one outcome
+//     accounting, and the batch engine's row-paired kernels.
 //   - Duplicate jobs in a window (the dogpile: many clients diagnosing the
 //     same cold job before any of them has filled the cache) collapse to a
-//     single diagnosis fanned out to every waiter. Uncoalesced, each
-//     admitted duplicate pays a full ensemble pass; coalesced, exactly one
-//     does.
+//     single diagnosis fanned out to every waiter.
+//
+// A batch never spans a serving-view swap: each waiter brings the view its
+// request loaded, and a waiter with a newer view dispatches the parked
+// batch before opening its own, so every result is computed by the view
+// its response is stamped with.
 //
 // Each waiter keeps its own context: a caller whose deadline expires while
 // the fused batch is still running gets its structured 503 immediately,
@@ -42,33 +45,19 @@ const DefaultCoalesceWindow = 2 * time.Millisecond
 // immediately instead of waiting out the window.
 const DefaultCoalesceMax = 32
 
-// errAllBreakersOpen tells a coalesced waiter's handler to answer with the
-// structured breaker-open 503 (writeBreakerOpen), exactly like the
-// uncoalesced path.
-var errAllBreakersOpen = errors.New("webservice: every model's circuit breaker is open")
-
 // coalescedResult is what one waiter receives from its fused batch.
 type coalescedResult struct {
 	diag *core.Diagnosis
-	// allowed is the breaker-filtered ensemble the batch ran on; the
-	// handler advises against it so recommendations match the uncoalesced
-	// path.
-	allowed *core.Ensemble
-	// open names breaker-open models skipped by the whole batch.
-	open []string
-	// batched is how many requests the fused pass served (1 = no fusion);
-	// fromCache marks a result resolved from the LRU at flush time (a
-	// previous batch filled it between this waiter's handler-level cache
-	// check and the flush).
-	batched   int
-	fromCache bool
-	err       error
+	// batched is how many requests the fused pass served (1 = no fusion).
+	batched int
+	err     error
 }
 
 // coalesceWaiter is one parked single-job request.
 type coalesceWaiter struct {
-	rec *darshan.Record
-	ctx context.Context
+	view *servingView
+	rec  *darshan.Record
+	ctx  context.Context
 	// ch is buffered: the dispatcher never blocks on a waiter that gave up.
 	ch chan coalescedResult
 }
@@ -77,9 +66,9 @@ type coalesceWaiter struct {
 type coalescer struct {
 	window time.Duration
 	max    int
-	// run executes one fused batch over deduplicated records; it is
-	// Server.runCoalesced bound at construction.
-	run func(ctx context.Context, recs []*darshan.Record) ([]*coalescedResult, error)
+	// run diagnoses one fused batch of distinct jobs against the view its
+	// waiters loaded; it is Server.diagnoseMisses.
+	run func(ctx context.Context, v *servingView, recs []*darshan.Record) ([]*core.Diagnosis, error)
 
 	mu      sync.Mutex
 	pending []*coalesceWaiter
@@ -92,7 +81,7 @@ type coalescer struct {
 }
 
 func newCoalescer(window time.Duration, max int,
-	run func(ctx context.Context, recs []*darshan.Record) ([]*coalescedResult, error)) *coalescer {
+	run func(ctx context.Context, v *servingView, recs []*darshan.Record) ([]*core.Diagnosis, error)) *coalescer {
 	if max <= 0 {
 		max = DefaultCoalesceMax
 	}
@@ -102,9 +91,12 @@ func newCoalescer(window time.Duration, max int,
 // submit parks the request until its batch flushes and returns its share of
 // the fused result. A ctx expiry while parked or while the batch runs
 // returns ctx's error; the batch itself is unaffected.
-func (c *coalescer) submit(ctx context.Context, rec *darshan.Record) (coalescedResult, error) {
-	w := &coalesceWaiter{rec: rec, ctx: ctx, ch: make(chan coalescedResult, 1)}
+func (c *coalescer) submit(ctx context.Context, v *servingView, rec *darshan.Record) (coalescedResult, error) {
+	w := &coalesceWaiter{view: v, rec: rec, ctx: ctx, ch: make(chan coalescedResult, 1)}
 	c.mu.Lock()
+	if len(c.pending) > 0 && c.pending[0].view != v {
+		go c.dispatch(c.takeLocked())
+	}
 	c.pending = append(c.pending, w)
 	if len(c.pending) >= c.max {
 		// A full batch dispatches now; the window only bounds how long a
@@ -164,8 +156,8 @@ func (c *coalescer) dispatch(batch []*coalesceWaiter) {
 	c.fused += uint64(len(batch))
 	c.mu.Unlock()
 	// Collapse duplicates: waiters are grouped by exact job identity (the
-	// same full-bits key the diagnosis cache uses, minus the model-set
-	// version), so the fused pass diagnoses each distinct job once.
+	// same full-bits key the diagnosis cache uses; the batch shares one
+	// view), so the fused pass diagnoses each distinct job once.
 	groupOf := make([]int, len(batch))
 	index := make(map[string]int, len(batch))
 	var recs []*darshan.Record
@@ -180,15 +172,13 @@ func (c *coalescer) dispatch(batch []*coalesceWaiter) {
 		groupOf[i] = g
 	}
 	ctx, cancel := batchContext(batch)
-	results, err := c.run(ctx, recs)
+	diags, err := c.run(ctx, batch[0].view, recs)
 	cancel()
 	for i, w := range batch {
-		if err != nil {
-			w.ch <- coalescedResult{err: err, batched: len(batch)}
-			continue
+		res := coalescedResult{batched: len(batch), err: err}
+		if err == nil {
+			res.diag = diags[groupOf[i]]
 		}
-		res := *results[groupOf[i]]
-		res.batched = len(batch)
 		w.ch <- res
 	}
 }
@@ -216,59 +206,8 @@ func batchContext(batch []*coalesceWaiter) (context.Context, context.CancelFunc)
 func (s *Server) coalescerIfEnabled() *coalescer {
 	s.coalesceOnce.Do(func() {
 		if s.CoalesceWindow > 0 {
-			s.coal = newCoalescer(s.CoalesceWindow, s.CoalesceMax, s.runCoalesced)
+			s.coal = newCoalescer(s.CoalesceWindow, s.CoalesceMax, s.diagnoseMisses)
 		}
 	})
 	return s.coal
-}
-
-// runCoalesced executes one fused batch the same way handleDiagnoseBatch
-// serves a multi-record body: snapshot, flush-time cache resolution,
-// breaker partition, one DiagnoseBatch over the misses, outcome
-// accounting, cache fills. recs are already deduplicated.
-func (s *Server) runCoalesced(ctx context.Context, recs []*darshan.Record) ([]*coalescedResult, error) {
-	ens, opts, version := s.snapshot()
-	cache := s.diagnosisCache()
-	results := make([]*coalescedResult, len(recs))
-	keys := make([]string, len(recs))
-	var missIdx []int
-	for i, rec := range recs {
-		if cache != nil {
-			keys[i] = cacheKey(version, rec)
-			// Flush-time resolution: a batch dispatched a window ago may
-			// have filled this key after the waiter's handler-level miss.
-			if d, ok := cache.get(keys[i]); ok {
-				results[i] = &coalescedResult{diag: d, fromCache: true}
-				continue
-			}
-		}
-		missIdx = append(missIdx, i)
-	}
-	if len(missIdx) > 0 {
-		allowed, open := s.applyBreakers(ens)
-		if len(allowed.Models) == 0 {
-			return nil, errAllBreakersOpen
-		}
-		missRecs := make([]*darshan.Record, len(missIdx))
-		for k, i := range missIdx {
-			missRecs[k] = recs[i]
-		}
-		fresh, err := allowed.DiagnoseBatchContext(ctx, missRecs, opts)
-		if err != nil {
-			if ctx.Err() == nil {
-				s.recordAllFailures(allowed)
-			}
-			return nil, err
-		}
-		s.recordOutcomes(allowed, fresh...)
-		for k, i := range missIdx {
-			results[i] = &coalescedResult{diag: fresh[k], allowed: allowed, open: open}
-			// Partial (breaker-degraded) results stay out of the cache,
-			// like every other diagnosis path.
-			if cache != nil && len(open) == 0 {
-				cache.put(keys[i], fresh[k])
-			}
-		}
-	}
-	return results, nil
 }

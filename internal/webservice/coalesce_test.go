@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpc-repro/aiio/internal/core"
 	"github.com/hpc-repro/aiio/internal/darshan"
 	"github.com/hpc-repro/aiio/internal/iosim"
 	"github.com/hpc-repro/aiio/internal/workload"
@@ -157,21 +158,18 @@ func TestCoalesceDuplicateFusion(t *testing.T) {
 func TestCoalesceWaiterDeadline(t *testing.T) {
 	release := make(chan struct{})
 	c := newCoalescer(time.Hour /* never flush by timer */, 2,
-		func(ctx context.Context, recs []*darshan.Record) ([]*coalescedResult, error) {
+		func(ctx context.Context, v *servingView, recs []*darshan.Record) ([]*core.Diagnosis, error) {
 			<-release
-			out := make([]*coalescedResult, len(recs))
-			for i := range out {
-				out[i] = &coalescedResult{}
-			}
-			return out, nil
+			return make([]*core.Diagnosis, len(recs)), nil
 		})
 
+	view := &servingView{}
 	impatient, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	done := make(chan error, 1)
 	rec := coalesceRecord(8)
 	go func() {
-		_, err := c.submit(impatient, rec)
+		_, err := c.submit(impatient, view, rec)
 		done <- err
 	}()
 
@@ -190,7 +188,7 @@ func TestCoalesceWaiterDeadline(t *testing.T) {
 	// still serves even though its first waiter gave up.
 	patient := make(chan error, 1)
 	go func() {
-		_, err := c.submit(context.Background(), coalesceRecord(9))
+		_, err := c.submit(context.Background(), view, coalesceRecord(9))
 		patient <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -237,10 +235,10 @@ func TestCoalesceBatchDeadlineIsLatestWaiter(t *testing.T) {
 // open surfaces the typed error to each waiter.
 func TestCoalesceBreakerOpenError(t *testing.T) {
 	c := newCoalescer(time.Millisecond, 4,
-		func(ctx context.Context, recs []*darshan.Record) ([]*coalescedResult, error) {
+		func(ctx context.Context, v *servingView, recs []*darshan.Record) ([]*core.Diagnosis, error) {
 			return nil, errAllBreakersOpen
 		})
-	_, err := c.submit(context.Background(), coalesceRecord(8))
+	_, err := c.submit(context.Background(), &servingView{}, coalesceRecord(8))
 	if !errors.Is(err, errAllBreakersOpen) {
 		t.Fatalf("got %v, want errAllBreakersOpen", err)
 	}

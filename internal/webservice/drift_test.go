@@ -215,7 +215,7 @@ func TestPoisonedRetrainBlockedByCanary(t *testing.T) {
 	if err := s.AdoptGeneration(bootEns, s.storeReport(boot.Generation)); err != nil {
 		t.Fatal(err)
 	}
-	_, _, v0 := s.snapshot()
+	v0 := s.view.Load().version
 	// Arm with the serving model's own error level as baseline.
 	clean := genRecords(t, 80)
 	ref := drift.BuildReference(clean)
@@ -250,7 +250,7 @@ func TestPoisonedRetrainBlockedByCanary(t *testing.T) {
 	if rs == nil || !strings.Contains(rs.Err, "canary") {
 		t.Fatalf("retrain state = %+v, want a canary block", rs)
 	}
-	if _, _, v1 := s.snapshot(); v1 != v0 {
+	if v1 := s.view.Load().version; v1 != v0 {
 		t.Fatalf("blocked candidate bumped the serving version: %d -> %d", v0, v1)
 	}
 	if rep := s.GenerationReport(); rep == nil || rep.Generation != boot.Generation {

@@ -94,7 +94,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	_ = indexTmpl.Execute(w, nil)
 }
 
-// handleDiagnoseHTML accepts the form post and renders the waterfall.
+// handleDiagnoseHTML accepts the form post and renders the waterfall. It
+// runs the same pipeline as the JSON endpoint: cache, breakers, coalescer.
 func (s *Server) handleDiagnoseHTML(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Redirect(w, r, "/", http.StatusSeeOther)
@@ -110,19 +111,13 @@ func (s *Server) handleDiagnoseHTML(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "parse log: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Same lock-free snapshot discipline as the JSON endpoint: never hold
-	// s.mu across the SHAP computation.
-	ens, opts, _ := s.snapshot()
-	diag, err := ens.DiagnoseContext(r.Context(), rec, opts)
+	out, err := s.diagnoseMany(r.Context(), []*darshan.Record{rec})
 	if err != nil {
-		if r.Context().Err() != nil {
-			http.Error(w, "diagnosis cancelled: "+err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		http.Error(w, "diagnose: "+err.Error(), http.StatusInternalServerError)
+		s.writeDiagnoseError(w, r, err)
 		return
 	}
-	resp := buildResponse(diag)
+	s.stamp(w, out, false)
+	resp := s.respond(out, 0, false)
 	res := htmlResult{DiagnosisResponse: resp}
 	maxAbs := 1e-12
 	for _, f := range resp.Factors {

@@ -126,7 +126,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// world. Duplicates (client retries) are skipped so a retry storm
 	// cannot fake a distribution shift.
 	if s.Drift != nil && len(observed) > 0 {
-		ens, _, _ := s.snapshot()
+		ens := s.ServingEnsemble()
 		for _, rec := range observed {
 			s.observeIngest(ens, rec)
 		}
@@ -169,7 +169,7 @@ func (s *Server) TriggerRetrain() bool {
 		// Remember the incumbent: it is the post-promotion watch's rollback
 		// target if the promotion regresses.
 		var prevGen uint64
-		if rep := s.genReport.Load(); rep != nil {
+		if rep := s.GenerationReport(); rep != nil {
 			prevGen = rep.Generation
 		}
 		ens, gen, err := s.Retrainer(context.Background())

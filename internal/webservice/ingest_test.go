@@ -198,7 +198,7 @@ func TestIngestTriggersRetrainAndHotSwap(t *testing.T) {
 	defer srv.Close()
 	client := NewClient(srv.URL)
 
-	_, _, v0 := s.snapshot()
+	v0 := s.view.Load().version
 	resp, err := client.Ingest(genRecords(t, 30))
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestIngestTriggersRetrainAndHotSwap(t *testing.T) {
 	if jl.Pending() != 0 {
 		t.Fatalf("pending after retrain = %d, want 0", jl.Pending())
 	}
-	ens2, _, v1 := s.snapshot()
+	ens2, v1 := s.ServingEnsemble(), s.view.Load().version
 	if v1 <= v0 {
 		t.Fatalf("version did not bump: %d then %d", v0, v1)
 	}
@@ -248,7 +248,7 @@ func TestIngestTriggersRetrainAndHotSwap(t *testing.T) {
 	if rs2 := s.retrainState.Load(); rs2 == nil || rs2.Err == "" {
 		t.Fatalf("failed cycle not surfaced: %+v", rs2)
 	}
-	if _, _, v2 := s.snapshot(); v2 != v1 {
+	if v2 := s.view.Load().version; v2 != v1 {
 		t.Fatalf("failed retrain bumped the version: %d then %d", v1, v2)
 	}
 }

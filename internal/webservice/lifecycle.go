@@ -317,9 +317,10 @@ type AdvisoryJSON struct {
 	Confidence string `json:"confidence"`
 }
 
-// appendAdvisories attaches lifecycle provenance to a diagnosis response.
-func (s *Server) appendAdvisories(resp *DiagnosisResponse) {
-	if rep := s.genReport.Load(); rep != nil {
+// appendAdvisories attaches lifecycle provenance to a diagnosis response;
+// rep is the registry report of the view that computed it.
+func (s *Server) appendAdvisories(resp *DiagnosisResponse, rep *core.LoadReport) {
+	if rep != nil {
 		fp := rep.Fingerprint
 		if len(fp) > 12 {
 			fp = fp[:12]

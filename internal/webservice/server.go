@@ -173,11 +173,6 @@ type Server struct {
 	// retrainState mirrors the last cycle's outcome for /healthz.
 	retrainState atomic.Pointer[retrainStatus]
 
-	// genReport mirrors the registry load report for /readyz (which
-	// generation is serving, whether it was a fallback); set with
-	// SetGeneration, updated by persisted hot-swaps.
-	genReport atomic.Pointer[core.LoadReport]
-
 	// draining is set by BeginDrain: readiness goes red and, with no
 	// Admission controller to refuse work, the diagnosis endpoints shed
 	// directly.
@@ -187,27 +182,48 @@ type Server struct {
 	cacheOnce sync.Once
 	cache     *diagCache
 
-	mu   sync.RWMutex
-	ens  *core.Ensemble
-	opts core.DiagnoseOptions
-	// version counts model-set generations: it starts at 1 and each upload
-	// increments it, so cache keys from older ensembles can never match.
-	version uint64
+	// viewMu serializes the writers of view (model upload, AdoptGeneration,
+	// SetGeneration); readers take one atomic load and never lock.
+	viewMu sync.Mutex
+	view   atomic.Pointer[servingView]
 	// advise produces tuning recommendations for a finished diagnosis; a
 	// field so tests can inject failures. An advise error never fails the
 	// diagnosis — it degrades to AdvisoryError in the response.
 	advise func(*core.Ensemble, *core.Diagnosis) ([]tune.Recommendation, error)
 }
 
+// servingView is one immutable model set together with everything that
+// describes it: the diagnosis options, the cache version its results are
+// keyed under, and the registry report naming its generation. A writer
+// installs a whole new view in one swap, so a request that loads the view
+// once computes, caches and labels its answer with the same model set.
+type servingView struct {
+	ens  *core.Ensemble
+	opts core.DiagnoseOptions
+	// version counts model-set swaps: it starts at 1 and each swap
+	// increments it, so cache keys from older sets can never match.
+	version uint64
+	// rep is the registry load report of ens; nil until SetGeneration.
+	rep *core.LoadReport
+}
+
 // NewServer wraps a trained ensemble.
 func NewServer(ens *core.Ensemble, opts core.DiagnoseOptions) *Server {
-	return &Server{
-		ens:     ens,
-		opts:    opts,
-		version: 1,
+	s := &Server{
 		advise: func(e *core.Ensemble, d *core.Diagnosis) ([]tune.Recommendation, error) {
 			return tune.New(e).Advise(d, 1.05)
 		},
+	}
+	s.view.Store(&servingView{ens: ens, opts: opts, version: 1})
+	return s
+}
+
+// install makes next the serving view and purges every cached diagnosis
+// of the views before it. Callers hold viewMu.
+func (s *Server) install(next *servingView) {
+	s.view.Store(next)
+	if c := s.diagnosisCache(); c != nil {
+		c.purge()
 	}
 }
 
@@ -226,25 +242,10 @@ func (s *Server) diagnosisCache() *diagCache {
 	return s.cache
 }
 
-// snapshot returns the current model set and options without holding any
-// lock during the (multi-second) diagnosis that follows: the Models slice
-// is copied under a read lock and a concurrent upload swaps in a new slice
-// element rather than mutating a model in place, so diagnoses in flight
-// keep working against the set they started with.
-func (s *Server) snapshot() (*core.Ensemble, core.DiagnoseOptions, uint64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	models := append([]core.Model(nil), s.ens.Models...)
-	return &core.Ensemble{Models: models}, s.opts, s.version
-}
-
-// ServingEnsemble returns a lock-free snapshot copy of the model set
-// currently answering traffic — the incumbent a canary gate evaluates a
-// retrained candidate against.
-func (s *Server) ServingEnsemble() *core.Ensemble {
-	ens, _, _ := s.snapshot()
-	return ens
-}
+// ServingEnsemble returns the model set currently answering traffic — the
+// incumbent a canary gate evaluates a retrained candidate against. The set
+// is shared with in-flight diagnoses and must not be modified.
+func (s *Server) ServingEnsemble() *core.Ensemble { return s.view.Load().ens }
 
 // Handler returns the HTTP routes, every one wrapped in the protection
 // middleware (panic recovery + per-request deadline).
@@ -358,17 +359,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return s.Admission.Drain(ctx)
 }
 
-// modelNames snapshots the registered model names.
-func (s *Server) modelNames() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.ens.Models))
-	for _, m := range s.ens.Models {
-		names = append(names, m.Name())
-	}
-	return names
-}
-
 // handleReady is the readiness probe: distinct from /healthz liveness, it
 // goes red when the server should receive no new traffic — during a
 // drain, while every model's circuit breaker is open, or before a valid
@@ -378,7 +368,11 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() || (s.Admission != nil && s.Admission.Draining()) {
 		reasons = append(reasons, "draining")
 	}
-	names := s.modelNames()
+	v := s.view.Load()
+	names := make([]string, len(v.ens.Models))
+	for i, m := range v.ens.Models {
+		names[i] = m.Name()
+	}
 	if len(names) == 0 {
 		reasons = append(reasons, "no model generation loaded")
 	}
@@ -395,8 +389,8 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if s.Admission != nil {
 		body["admission"] = s.Admission.Stats()
 	}
-	if rep := s.genReport.Load(); rep != nil {
-		body["generation"] = rep
+	if v.rep != nil {
+		body["generation"] = v.rep
 	}
 	status := http.StatusOK
 	if len(reasons) > 0 {
@@ -410,16 +404,6 @@ func (s *Server) maxBody() int64 {
 		return s.MaxBody
 	}
 	return DefaultMaxBody
-}
-
-// writeUnavailable answers a request whose diagnosis hit the per-request
-// deadline (or whose client vanished) with a structured 503.
-func (s *Server) writeUnavailable(w http.ResponseWriter, err error) {
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error":   "diagnosis cancelled before completion",
-		"timeout": s.RequestTimeout.String(),
-		"detail":  err.Error(),
-	})
 }
 
 // bodyError maps a request-body parse failure to a status: 413 when the
@@ -497,10 +481,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		infos := make([]ModelInfo, 0, len(s.ens.Models))
-		for _, m := range s.ens.Models {
+		models := s.view.Load().ens.Models
+		infos := make([]ModelInfo, 0, len(models))
+		for _, m := range models {
 			infos = append(infos, ModelInfo{Name: m.Name(), Kind: m.Kind()})
 		}
 		writeJSON(w, http.StatusOK, infos)
@@ -511,8 +494,15 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// SetGeneration records the registry load report surfaced on /readyz.
-func (s *Server) SetGeneration(rep *core.LoadReport) { s.genReport.Store(rep) }
+// SetGeneration records the registry load report of the serving model set,
+// surfaced on /readyz and stamped on every diagnosis it computes.
+func (s *Server) SetGeneration(rep *core.LoadReport) {
+	s.viewMu.Lock()
+	defer s.viewMu.Unlock()
+	next := *s.view.Load()
+	next.rep = rep
+	s.view.Store(&next)
+}
 
 // storeReport builds a load report for a just-committed generation,
 // fingerprinted from its on-disk manifest.
@@ -526,9 +516,9 @@ func (s *Server) storeReport(gen uint64) *core.LoadReport {
 	return rep
 }
 
-// GenerationReport returns the current registry load report (nil when no
-// store is wired in).
-func (s *Server) GenerationReport() *core.LoadReport { return s.genReport.Load() }
+// GenerationReport returns the registry load report of the serving model
+// set (nil until SetGeneration).
+func (s *Server) GenerationReport() *core.LoadReport { return s.view.Load().rep }
 
 // handleModelUpload accepts a pre-trained model (?name=...&kind=gbdt|mlp|tabnet
 // with the gob body) as a validated hot-swap: the candidate model set —
@@ -565,10 +555,11 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.mu.Lock()
-	// Build the candidate set: a fresh slice (in-flight snapshots keep
-	// the old backing array) with the upload swapped in or appended.
-	candidate := append([]core.Model(nil), s.ens.Models...)
+	s.viewMu.Lock()
+	cur := s.view.Load()
+	// Build the candidate set: a fresh slice (in-flight diagnoses keep the
+	// old view) with the upload swapped in or appended.
+	candidate := append([]core.Model(nil), cur.ens.Models...)
 	replaced := false
 	for i, existing := range candidate {
 		if existing.Name() == name {
@@ -581,10 +572,10 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 		candidate = append(candidate, m)
 	}
 	// Smoke-predict the whole candidate set. If any member fails, the
-	// swap is rolled back before it ever happened: s.ens is untouched.
+	// swap is rolled back before it ever happened: the view is untouched.
 	for _, cm := range candidate {
 		if err := probeModel(cm); err != nil {
-			s.mu.Unlock()
+			s.viewMu.Unlock()
 			writeJSON(w, http.StatusBadRequest, map[string]any{
 				"error": fmt.Sprintf("candidate model set failed validation at %s: %v; upload rolled back",
 					cm.Name(), err),
@@ -593,30 +584,29 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.ens.Models = candidate
-	// The new model invalidates every cached diagnosis: bump the version so
-	// in-flight requests keyed against the old set can never hit, and purge
-	// the entries outright.
-	s.version++
-	if c := s.diagnosisCache(); c != nil {
-		c.purge()
-	}
-	persist := &core.Ensemble{Models: candidate}
-	s.mu.Unlock()
-	// A fresh (validated) model deserves a closed breaker.
-	if s.Breakers != nil {
-		s.Breakers.For(name).Success()
+	next := &servingView{
+		ens:     &core.Ensemble{Models: candidate},
+		opts:    cur.opts,
+		version: cur.version + 1,
+		rep:     cur.rep,
 	}
 	body := map[string]any{"name": name, "replaced": replaced}
-	// Persist the accepted set outside the lock; a persist failure keeps
-	// the hot-swap live (it already validated) and is surfaced instead.
+	// Persist before the swap so the models and the generation that names
+	// them go live together. A persist failure keeps the hot-swap (it
+	// already validated) under the old report and is surfaced instead.
 	if s.Store != nil {
-		if gen, err := s.Store.Save(persist); err != nil {
+		if gen, err := s.Store.Save(next.ens); err != nil {
 			body["persist_error"] = err.Error()
 		} else {
 			body["generation"] = gen
-			s.SetGeneration(s.storeReport(gen))
+			next.rep = s.storeReport(gen)
 		}
+	}
+	s.install(next)
+	s.viewMu.Unlock()
+	// A fresh (validated) model deserves a closed breaker.
+	if s.Breakers != nil {
+		s.Breakers.For(name).Success()
 	}
 	writeJSON(w, http.StatusOK, body)
 }
@@ -644,283 +634,6 @@ func probeModel(m core.Model) (err error) {
 		return fmt.Errorf("probe prediction is %v", v)
 	}
 	return nil
-}
-
-// applyBreakers partitions the snapshot ensemble by each model's circuit
-// breaker: allowed models run, open ones are skipped (the degraded path
-// for traffic). With no BreakerSet configured every model is allowed.
-func (s *Server) applyBreakers(ens *core.Ensemble) (allowed *core.Ensemble, open []string) {
-	if s.Breakers == nil {
-		return ens, nil
-	}
-	allowed = &core.Ensemble{Models: make([]core.Model, 0, len(ens.Models))}
-	for _, m := range ens.Models {
-		if s.Breakers.For(m.Name()).Allow() {
-			allowed.Models = append(allowed.Models, m)
-		} else {
-			open = append(open, m.Name())
-		}
-	}
-	return allowed, open
-}
-
-// recordOutcomes feeds one request's per-model results back into the
-// breakers: a model that failed (panic, NaN) in any of the request's
-// diagnoses counts one failure, a model that worked throughout counts
-// one success. Skipped on a request-level cancellation, where per-model
-// blame is meaningless.
-func (s *Server) recordOutcomes(allowed *core.Ensemble, diags ...*core.Diagnosis) {
-	if s.Breakers == nil {
-		return
-	}
-	for i, m := range allowed.Models {
-		failed := false
-		for _, d := range diags {
-			if d.PerModel[i].Failed() {
-				failed = true
-				break
-			}
-		}
-		if failed {
-			s.Breakers.For(m.Name()).Failure()
-		} else {
-			s.Breakers.For(m.Name()).Success()
-		}
-	}
-}
-
-// recordAllFailures charges every allowed model's breaker one failure —
-// the case where the whole diagnosis errored because no model survived,
-// so there is no per-model Diagnosis to consult.
-func (s *Server) recordAllFailures(allowed *core.Ensemble) {
-	if s.Breakers == nil {
-		return
-	}
-	for _, m := range allowed.Models {
-		s.Breakers.For(m.Name()).Failure()
-	}
-}
-
-// writeBreakerOpen answers a request that no model can serve: every
-// breaker is open. The X-AIIO-Breaker header tells clients not to retry
-// against this instance; Retry-After hints when the first cooldown probe
-// becomes possible.
-func (s *Server) writeBreakerOpen(w http.ResponseWriter) {
-	w.Header().Set("X-AIIO-Breaker", "open")
-	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(admission.DefaultRetryAfter.Seconds()))))
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error":    "every model's circuit breaker is open",
-		"breakers": s.Breakers.States(),
-	})
-}
-
-// markBreakerSkips appends the breaker-open models to a response as
-// skipped casualties, so a client sees the same degraded-ensemble shape
-// the PR 2 path produces for in-request failures.
-func markBreakerSkips(resp *DiagnosisResponse, open []string) {
-	if len(open) == 0 {
-		return
-	}
-	resp.Degraded = true
-	for _, name := range open {
-		resp.Models = append(resp.Models, ModelResult{Name: name, Error: "circuit breaker open"})
-		resp.SkippedModels = append(resp.SkippedModels, name)
-	}
-}
-
-func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a Darshan text log")
-		return
-	}
-	rec, err := darshan.ParseLog(http.MaxBytesReader(w, r.Body, s.maxBody()))
-	if err != nil {
-		bodyError(w, err)
-		return
-	}
-	s.stampGeneration(w)
-	// Diagnose against a lock-free snapshot so a concurrent model upload
-	// (write lock) never stalls behind, or waits on, in-flight SHAP work.
-	ens, opts, version := s.snapshot()
-	cache := s.diagnosisCache()
-	var key string
-	var diag *core.Diagnosis
-	if cache != nil {
-		key = cacheKey(version, rec)
-		if d, ok := cache.get(key); ok {
-			diag = d
-			w.Header().Set("X-AIIO-Cache", "hit")
-		}
-	}
-	var open []string
-	var allowed *core.Ensemble
-	switch {
-	case diag != nil:
-	case s.coalescerIfEnabled() != nil:
-		// Micro-batch path: park behind the coalescer; the fused batch
-		// does the snapshotting, breaker partition, outcome accounting,
-		// and cache fills (runCoalesced).
-		res, err := s.coal.submit(r.Context(), rec)
-		if err != nil {
-			switch {
-			case errors.Is(err, errAllBreakersOpen):
-				s.writeBreakerOpen(w)
-			case r.Context().Err() != nil:
-				s.writeUnavailable(w, err)
-			default:
-				httpError(w, http.StatusInternalServerError, fmt.Sprintf("diagnose: %v", err))
-			}
-			return
-		}
-		diag, allowed, open = res.diag, res.allowed, res.open
-		w.Header().Set("X-AIIO-Coalesced", strconv.Itoa(res.batched))
-		if cache != nil {
-			if res.fromCache {
-				w.Header().Set("X-AIIO-Cache", "hit")
-			} else if len(open) == 0 {
-				w.Header().Set("X-AIIO-Cache", "miss")
-			}
-		}
-	default:
-		var openNow []string
-		allowed, openNow = s.applyBreakers(ens)
-		open = openNow
-		if len(allowed.Models) == 0 {
-			s.writeBreakerOpen(w)
-			return
-		}
-		var err error
-		diag, err = allowed.DiagnoseContext(r.Context(), rec, opts)
-		if err != nil {
-			if r.Context().Err() != nil {
-				s.writeUnavailable(w, err)
-				return
-			}
-			// A non-cancellation diagnosis error means every allowed model
-			// failed; the breakers must hear about it or they never open.
-			s.recordAllFailures(allowed)
-			httpError(w, http.StatusInternalServerError, fmt.Sprintf("diagnose: %v", err))
-			return
-		}
-		s.recordOutcomes(allowed, diag)
-		// A result computed with breaker-open models excluded is partial:
-		// caching it would keep serving the degraded answer after the
-		// breakers close, so only full-ensemble results are cached.
-		if cache != nil && len(open) == 0 {
-			cache.put(key, diag)
-			w.Header().Set("X-AIIO-Cache", "miss")
-		}
-	}
-	resp := buildResponse(diag)
-	markBreakerSkips(resp, open)
-	// The advisor is best-effort: a failure degrades to an advisory-error
-	// field instead of discarding the successful diagnosis. It runs over
-	// the models that served this request — breaker-open models are
-	// excluded from its counterfactual predictions too.
-	adviseEns := ens
-	if allowed != nil {
-		adviseEns = allowed
-	}
-	recs, advErr := s.safeAdvise(adviseEns, diag)
-	if advErr != nil {
-		resp.AdvisoryError = advErr.Error()
-	}
-	for _, r := range recs {
-		resp.Recommendations = append(resp.Recommendations, RecommendationJSON{
-			Action:         r.Action,
-			Description:    r.Description,
-			PredictedMiBps: r.PredictedMiBps,
-			PredictedGain:  r.PredictedGain,
-		})
-	}
-	s.appendAdvisories(resp)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleDiagnoseBatch accepts a WriteDataset-format stream of several logs
-// and diagnoses them on the parallel engine (Ensemble.DiagnoseBatch),
-// returning one response per record in input order. Recommendations are
-// omitted in batch mode; the single-job endpoint provides them.
-func (s *Server) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a stream of Darshan text logs")
-		return
-	}
-	ds, err := darshan.ParseDataset(http.MaxBytesReader(w, r.Body, 4*s.maxBody()))
-	if err != nil {
-		bodyError(w, err)
-		return
-	}
-	if ds.Len() == 0 {
-		httpError(w, http.StatusBadRequest, "no records in request body")
-		return
-	}
-	s.stampGeneration(w)
-	ens, opts, version := s.snapshot()
-	cache := s.diagnosisCache()
-
-	// Resolve each record against the cache first, then run the parallel
-	// engine only over the misses and stitch the results back in order.
-	diags := make([]*core.Diagnosis, ds.Len())
-	keys := make([]string, ds.Len())
-	var missIdx []int
-	hits := 0
-	for i, rec := range ds.Records {
-		if cache != nil {
-			keys[i] = cacheKey(version, rec)
-			if d, ok := cache.get(keys[i]); ok {
-				diags[i] = d
-				hits++
-				continue
-			}
-		}
-		missIdx = append(missIdx, i)
-	}
-	var open []string
-	if len(missIdx) > 0 {
-		allowed, openNow := s.applyBreakers(ens)
-		open = openNow
-		if len(allowed.Models) == 0 {
-			s.writeBreakerOpen(w)
-			return
-		}
-		missRecs := make([]*darshan.Record, len(missIdx))
-		for k, i := range missIdx {
-			missRecs[k] = ds.Records[i]
-		}
-		fresh, err := allowed.DiagnoseBatchContext(r.Context(), missRecs, opts)
-		if err != nil {
-			if r.Context().Err() != nil {
-				s.writeUnavailable(w, err)
-				return
-			}
-			s.recordAllFailures(allowed)
-			httpError(w, http.StatusInternalServerError, fmt.Sprintf("diagnose: %v", err))
-			return
-		}
-		s.recordOutcomes(allowed, fresh...)
-		for k, i := range missIdx {
-			diags[i] = fresh[k]
-			// Partial (breaker-degraded) results stay out of the cache;
-			// see handleDiagnose.
-			if cache != nil && len(open) == 0 {
-				cache.put(keys[i], fresh[k])
-			}
-		}
-	}
-	if cache != nil {
-		w.Header().Set("X-AIIO-Cache", fmt.Sprintf("hits=%d misses=%d", hits, len(missIdx)))
-	}
-	resps := make([]*DiagnosisResponse, len(diags))
-	for i, diag := range diags {
-		resps[i] = buildResponse(diag)
-	}
-	// Cache hits were full-ensemble results; only the fresh misses carry
-	// the breaker-open skips.
-	for _, i := range missIdx {
-		markBreakerSkips(resps[i], open)
-	}
-	writeJSON(w, http.StatusOK, resps)
 }
 
 // safeAdvise runs the tuning advisor with panics converted to errors:
@@ -967,26 +680,12 @@ func buildResponse(diag *core.Diagnosis) *DiagnosisResponse {
 	return resp
 }
 
-// stampGeneration advertises which model generation (and content
-// fingerprint) produced this response, so routers, replication syncers, and
-// chaos drills can assert freshness without a second round trip. A server
-// with no registry report (e.g. a bare NewServer in tests) stamps nothing.
-func (s *Server) stampGeneration(w http.ResponseWriter) {
-	if rep := s.genReport.Load(); rep != nil {
-		w.Header().Set("X-AIIO-Generation", strconv.FormatUint(rep.Generation, 10))
-		if rep.Fingerprint != "" {
-			w.Header().Set("X-AIIO-Fingerprint", rep.Fingerprint)
-		}
-	}
-}
-
 // AdoptGeneration hot-swaps a replicated (or freshly committed) model set
 // into the serving path with the same safeguards as a model upload: every
 // model is probe-validated first, and a failure leaves the old set serving
-// untouched. On success the version bumps (invalidating every cached
-// diagnosis), the cache is purged, the generation report goes live on
-// /readyz and the response headers, and each model's breaker is reset the
-// way a validated upload's is.
+// untouched. On success the models, a bumped cache version and rep go live
+// in one swap (every cached diagnosis is purged), and each model's breaker
+// is reset the way a validated upload's is.
 func (s *Server) AdoptGeneration(ens *core.Ensemble, rep *core.LoadReport) error {
 	for _, m := range ens.Models {
 		if err := probeModel(m); err != nil {
@@ -994,14 +693,10 @@ func (s *Server) AdoptGeneration(ens *core.Ensemble, rep *core.LoadReport) error
 				rep.Generation, m.Name(), err)
 		}
 	}
-	s.mu.Lock()
-	s.ens = ens
-	s.version++
-	if c := s.diagnosisCache(); c != nil {
-		c.purge()
-	}
-	s.mu.Unlock()
-	s.SetGeneration(rep)
+	s.viewMu.Lock()
+	cur := s.view.Load()
+	s.install(&servingView{ens: ens, opts: cur.opts, version: cur.version + 1, rep: rep})
+	s.viewMu.Unlock()
 	if s.Breakers != nil {
 		for _, m := range ens.Models {
 			s.Breakers.For(m.Name()).Success()
@@ -1043,7 +738,7 @@ func (s *Server) handleGenerations(w http.ResponseWriter, r *http.Request) {
 		}
 		sum.Available, _ = s.Store.Generations()
 	}
-	if rep := s.genReport.Load(); rep != nil {
+	if rep := s.GenerationReport(); rep != nil {
 		sum.ServingGeneration = rep.Generation
 		sum.ServingFingerprint = rep.Fingerprint
 	}
