@@ -212,7 +212,7 @@ func main() {
 	ingestInflight := flag.Int("ingest-inflight", 0,
 		"concurrent ingest requests (its own admission budget; 0 = the -max-inflight default)")
 	coalesceWindow := flag.Duration("coalesce-window", webservice.DefaultCoalesceWindow,
-		"micro-batch window: single-job diagnoses arriving within it fuse into one batch pass (0 disables)")
+		"micro-batch window, waited only while a pass runs: single-job misses arriving behind a running pass fuse into one batch pass, and a lone miss dispatches at once (0 disables)")
 	coalesceMax := flag.Int("coalesce-max", webservice.DefaultCoalesceMax,
 		"requests per fused micro-batch; a full batch dispatches before the window expires")
 	peers := flag.String("peers", "",

@@ -66,8 +66,22 @@ func CholeskySolve(l *Matrix, b []float64) []float64 {
 }
 
 // SolveSPD solves a·x = b for symmetric positive-definite a, adding a tiny
-// progressive ridge jitter when the plain factorization fails. a is consumed.
+// progressive ridge jitter when the plain factorization fails (see
+// FactorSPD). a is not modified.
 func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
+	l, err := FactorSPD(a)
+	if err != nil {
+		return nil, err
+	}
+	return CholeskySolve(l, b), nil
+}
+
+// FactorSPD returns the Cholesky factor (for CholeskySolve) of the
+// symmetric positive-definite a. When the plain factorization fails it
+// retries on a + jitter·I, starting at 1e-10·(max|diag|+1) and growing
+// 100× per attempt; after six failed attempts it returns ErrSingular. a is
+// not modified.
+func FactorSPD(a *Matrix) (*Matrix, error) {
 	jitter := 0.0
 	base := a.Clone()
 	for attempt := 0; attempt < 6; attempt++ {
@@ -78,7 +92,7 @@ func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 			}
 		}
 		if err := Cholesky(work); err == nil {
-			return CholeskySolve(work, b), nil
+			return work, nil
 		}
 		if jitter == 0 {
 			// Scale the first jitter with the matrix magnitude.
@@ -163,12 +177,41 @@ func WeightedRidge(x *Matrix, y, w []float64, lambda float64, fitIntercept bool)
 		panic(fmt.Sprintf("linalg: WeightedRidge shapes: X %dx%d, y %d, w %d",
 			x.Rows, x.Cols, len(y), len(w)))
 	}
+	xtwx := WeightedGram(x, w, lambda, fitIntercept)
+	xtwy := make([]float64, xtwx.Rows)
+	for i := 0; i < x.Rows; i++ {
+		wi := w[i]
+		if wi == 0 {
+			continue
+		}
+		for a, v := range x.Row(i) {
+			va := v * wi
+			if va == 0 {
+				continue
+			}
+			// The conversion forbids fusing into an FMA, so callers that
+			// accumulate the same products themselves match bitwise.
+			xtwy[a] += float64(va * y[i])
+		}
+		if fitIntercept {
+			xtwy[len(xtwy)-1] += float64(wi * y[i])
+		}
+	}
+	return SolveSPD(xtwx, xtwy)
+}
+
+// WeightedGram returns the regularized normal matrix XᵀWX + λI of
+// WeightedRidge, with the implicit all-ones intercept column last (and
+// unpenalized) when fitIntercept is true.
+func WeightedGram(x *Matrix, w []float64, lambda float64, fitIntercept bool) *Matrix {
+	if x.Rows != len(w) {
+		panic(fmt.Sprintf("linalg: WeightedGram shapes: X %dx%d, w %d", x.Rows, x.Cols, len(w)))
+	}
 	d := x.Cols
 	if fitIntercept {
 		d++
 	}
 	xtwx := NewMatrix(d, d)
-	xtwy := make([]float64, d)
 	row := make([]float64, d)
 	for i := 0; i < x.Rows; i++ {
 		wi := w[i]
@@ -184,7 +227,6 @@ func WeightedRidge(x *Matrix, y, w []float64, lambda float64, fitIntercept bool)
 			if va == 0 {
 				continue
 			}
-			xtwy[a] += va * y[i]
 			// XᵀWX is symmetric: accumulate the upper triangle only and
 			// mirror below; each (a,b) product is computed exactly once, so
 			// the mirrored matrix is identical to the full accumulation.
@@ -204,5 +246,5 @@ func WeightedRidge(x *Matrix, y, w []float64, lambda float64, fitIntercept bool)
 	for i := 0; i < nPen; i++ {
 		xtwx.Set(i, i, xtwx.At(i, i)+lambda)
 	}
-	return SolveSPD(xtwx, xtwy)
+	return xtwx
 }

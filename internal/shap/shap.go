@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"sync"
 
 	"github.com/hpc-repro/aiio/internal/linalg"
@@ -82,12 +81,13 @@ func (e *Explanation) AdditivityError() float64 {
 }
 
 // Explainer computes SHAP values against a fixed background. The
-// coalition masks, the coalition input matrix and the WLS buffers live in
-// a pool-shared scratch area borrowed per call, so the steady-state
-// allocations of an Explain are the returned Phi slice and the model's
-// own output batches. A mutex serializes concurrent Explain calls on one
-// explainer; independent explainers (as core.Diagnose builds per model
-// per job) never contend.
+// coalition input matrix and the WLS right-hand side live in a pool-shared
+// scratch area borrowed per call, and the sampled estimator's coalitions
+// and factored normal matrix in a shared plan (plan.go), so the
+// steady-state allocations of an Explain are the returned Phi slice, the
+// solve's output and the model's own output batches. A mutex serializes
+// concurrent Explain calls on one explainer; independent explainers (as
+// core.Diagnose builds per model per job) never contend.
 type Explainer struct {
 	f          PredictFunc
 	background []float64
@@ -100,25 +100,17 @@ type Explainer struct {
 // scratchPool shares scratch slabs across all explainers. core.Diagnose
 // builds a fresh explainer per (job, model) pair, and without sharing
 // every diagnosis re-allocates — and the runtime re-zeroes — hundreds of
-// kilobytes of coalition masks, input matrices and WLS buffers; borrowing
-// per call keeps those slabs warm across jobs while staying safe for
-// concurrent explainers.
+// kilobytes of coalition input matrices; borrowing per call keeps those
+// slabs warm across jobs while staying safe for concurrent explainers.
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
-// scratch is the per-explainer reusable buffer set. Coalition masks are
-// uint64 bitsets: coalition i occupies words [i*words, (i+1)*words) of the
-// masks slab, where words = ceil(m/64) for m active features (a single word
-// for AIIO's 45-counter schema).
+// scratch is the per-explainer reusable buffer set.
 type scratch struct {
-	active  []int
-	pair    []float64 // 2-row matrix backing for evalPair
-	masks   []uint64
-	weights []float64
-	inputs  []float64 // coalition input matrix backing
-	z       []float64 // WLS design matrix backing
-	y, w    []float64
-	perm    []int
-	sizeW   []float64 // per-coalition-size Shapley weights
+	active []int
+	pair   []float64 // 2-row matrix backing for evalPair
+	inputs []float64 // coalition input matrix backing
+	rhs    []float64 // WLS right-hand side ZᵀW·y
+	sizeW  []float64 // per-coalition-size Shapley weights
 }
 
 // growF returns buf resized to n floats, reusing its capacity; contents are
@@ -335,153 +327,25 @@ func (s *splitmix64) Int63() int64    { return int64(s.Uint64() >> 1) }
 func (s *splitmix64) Seed(seed int64) { s.s = uint64(seed) }
 
 // sampled runs the Kernel SHAP WLS estimator with paired coalition
-// enumeration/sampling, following the shap package's KernelExplainer.
-// Coalitions live as uint64 bitsets in the scratch slab; the coalition
-// input matrix and the WLS design/target/weight buffers are reused across
-// calls. The coalition set is a deterministic function of cfg.Seed (drawn
-// from an O(1)-seed SplitMix64 stream), so repeated explanations of the
-// same input agree bitwise.
+// enumeration/sampling, following the shap package's KernelExplainer. The
+// coalitions, their kernel weights and the factored normal matrix come from
+// the shared plan for (M, NSamples, Seed, Ridge) (see plan.go), so the
+// per-job work is the coalition input matrix, one model call, ZᵀW·y and two
+// triangular solves. ZᵀW·y is accumulated coalition by coalition in
+// ascending order with the same products linalg.WeightedRidge forms, so the
+// result is bitwise identical to solving the materialised system per call.
 func (e *Explainer) sampled(ctx context.Context, x, bg []float64, active []int, out *Explanation) error {
 	m := len(active)
-	words := (m + 63) / 64
-	budget := e.cfg.NSamples
-	rng := rand.New(&splitmix64{s: uint64(e.cfg.Seed)})
-
-	sc := e.sc
-	sc.masks = sc.masks[:0]
-	sc.weights = sc.weights[:0]
-	nCoal := 0
-	// addCoalition appends one zeroed bitset + weight and returns the mask
-	// words for the caller to fill.
-	addCoalition := func(weight float64) []uint64 {
-		for i := 0; i < words; i++ {
-			sc.masks = append(sc.masks, 0)
-		}
-		sc.weights = append(sc.weights, weight)
-		nCoal++
-		return sc.masks[len(sc.masks)-words:]
-	}
-	maskOf := func(i int) []uint64 { return sc.masks[i*words : (i+1)*words] }
-	getBit := func(mask []uint64, b int) bool { return mask[b>>6]>>(b&63)&1 == 1 }
-	lastWord := ^uint64(0) // valid-bit mask of the slab's final word
-	if m&63 != 0 {
-		lastWord = 1<<(m&63) - 1
-	}
-
-	// Shapley kernel weight per size, paired (s and m-s together).
-	sizeWeight := func(s int) float64 {
-		return float64(m-1) / (float64(s) * float64(m-s))
-	}
-	maxPair := m / 2 // pairs (1, m-1), (2, m-2), ...
-
-	remainingWeight := 0.0
-	for s := 1; s <= maxPair; s++ {
-		w := sizeWeight(s)
-		if s != m-s {
-			w *= 2
-		}
-		remainingWeight += w
-	}
-
-	used := 0
-	lastComplete := 0 // sizes 1..lastComplete fully enumerated
-	for s := 1; s <= maxPair; s++ {
-		cnt := binom(m, s)
-		total := cnt
-		if s != m-s {
-			total *= 2
-		}
-		if float64(budget-used) < total {
-			break
-		}
-		// Enumerate all subsets of size s (and complements): each subset of
-		// a complete size level shares the level's kernel weight equally.
-		w := sizeWeight(s)
-		if s != m-s {
-			w *= 2
-		}
-		per := w / total
-		forEachSubset(m, s, func(idx []int) {
-			mask := addCoalition(per)
-			for _, i := range idx {
-				mask[i>>6] |= 1 << (i & 63)
-			}
-			if s != m-s {
-				comp := addCoalition(per)
-				mask = maskOf(nCoal - 2) // addCoalition may have regrown the slab
-				for wi := range comp {
-					comp[wi] = ^mask[wi]
-				}
-				comp[words-1] &= lastWord
-			}
-		})
-		used += int(total)
-		remainingWeight -= w
-		lastComplete = s
-	}
-
-	// Random sampling for the remaining budget across incomplete sizes.
-	if remainingWeight > 1e-12 {
-		var sizes []int
-		var cumw []float64
-		tot := 0.0
-		for s := lastComplete + 1; s <= maxPair; s++ {
-			w := sizeWeight(s)
-			if s != m-s {
-				w *= 2
-			}
-			tot += w
-			sizes = append(sizes, s)
-			cumw = append(cumw, tot)
-		}
-		nRand := budget - used
-		if nRand > 0 && len(sizes) > 0 {
-			per := remainingWeight / float64(nRand) // equal weight per sample
-			if cap(sc.perm) < m {
-				sc.perm = make([]int, m)
-			}
-			perm := sc.perm[:m]
-			for i := range perm {
-				perm[i] = i
-			}
-			for k := 0; k < nRand; k++ {
-				r := rng.Float64() * tot
-				si := 0
-				for si < len(cumw)-1 && r > cumw[si] {
-					si++
-				}
-				s := sizes[si]
-				kk := s // sizes only go up to m/2, so kk is the smaller of the pair
-				if s != m-s && rng.Intn(2) == 1 {
-					s = m - s
-				}
-				// Partial Fisher–Yates: only the first kk slots need to be
-				// drawn for a uniform kk-subset, and the unchosen suffix is
-				// then itself a uniform (m-kk)-subset for the complement
-				// size — far cheaper than shuffling all m entries.
-				for i := 0; i < kk; i++ {
-					j := i + rng.Intn(m-i)
-					perm[i], perm[j] = perm[j], perm[i]
-				}
-				chosen := perm[:kk]
-				if s != kk {
-					chosen = perm[kk:]
-				}
-				mask := addCoalition(per)
-				for _, i := range chosen {
-					mask[i>>6] |= 1 << (i & 63)
-				}
-			}
-		}
-	}
+	p := plans.get(planKey{m: m, nSamples: e.cfg.NSamples, seed: e.cfg.Seed, ridge: math.Float64bits(e.cfg.Ridge)})
 
 	// Evaluate f on every coalition (matrix backing reused).
-	sc.inputs = growF(sc.inputs, nCoal*len(x))
-	inputs := &linalg.Matrix{Rows: nCoal, Cols: len(x), Data: sc.inputs}
-	for i := 0; i < nCoal; i++ {
+	sc := e.sc
+	sc.inputs = growF(sc.inputs, p.nCoal*len(x))
+	inputs := &linalg.Matrix{Rows: p.nCoal, Cols: len(x), Data: sc.inputs}
+	for i := 0; i < p.nCoal; i++ {
 		row := inputs.Row(i)
 		copy(row, bg)
-		for wi, v := range maskOf(i) {
+		for wi, v := range p.mask(i) {
 			for ; v != 0; v &= v - 1 {
 				j := active[wi<<6+bits.TrailingZeros64(v)]
 				row[j] = x[j]
@@ -493,55 +357,54 @@ func (e *Explainer) sampled(ctx context.Context, x, bg []float64, active []int, 
 		return err
 	}
 
-	// Constrained WLS: eliminate the last active feature with the
-	// efficiency constraint Σ phi = fx - base.
 	delta := out.FX - out.Base
-	zCols := m - 1
-	sc.z = growF(sc.z, nCoal*zCols)
-	zm := &linalg.Matrix{Rows: nCoal, Cols: zCols, Data: sc.z}
-	yv := growF(sc.y, nCoal)
-	wv := growF(sc.w, nCoal)
-	sc.y, sc.w = yv, wv
-	for i := 0; i < nCoal; i++ {
-		mask := maskOf(i)
-		last := 0.0
-		if getBit(mask, m-1) {
-			last = 1
-		}
-		// Fill the row with the off-coalition value (0 or -1), then flip
-		// just the set bits — the design matrix is sparse in whichever
-		// value the coalition's minority is, and iterating mask words
-		// beats a per-column branch.
-		row := zm.Row(i)
-		if last == 0 {
-			for b := range row {
-				row[b] = 0
-			}
-		} else {
-			for b := range row {
-				row[b] = -1
-			}
-		}
-		on := 1.0 - last
-		for wi, v := range mask {
-			for ; v != 0; v &= v - 1 {
-				b := wi<<6 + bits.TrailingZeros64(v)
-				if b < zCols {
-					row[b] = on
-				}
-			}
-		}
-		yv[i] = vals[i] - out.Base - last*delta
-		wv[i] = sc.weights[i]
-	}
-	beta, err := linalg.WeightedRidge(zm, yv, wv, e.cfg.Ridge, false)
-	if err != nil {
+	if p.chol == nil {
 		// Degenerate sampling: fall back to spreading delta uniformly.
 		for _, j := range active {
 			out.Phi[j] = delta / float64(m)
 		}
 		return nil
 	}
+	// Constrained WLS right-hand side ZᵀW·y with y = f(S) - base - [last∈S]·delta.
+	// A coalition without the eliminated last feature has Z entries 1 on
+	// its bits; one with it has -1 off its bits (and 0 on them).
+	zCols := m - 1
+	rhs := growF(sc.rhs, zCols)
+	sc.rhs = rhs
+	for b := range rhs {
+		rhs[b] = 0
+	}
+	lastWi, lastBit := (m-1)>>6, uint((m-1)&63)
+	for i := 0; i < p.nCoal; i++ {
+		wi := p.weights[i]
+		if wi == 0 {
+			continue
+		}
+		mask := p.mask(i)
+		last := float64(mask[lastWi] >> lastBit & 1)
+		y := vals[i] - out.Base - last*delta
+		t := float64(wi * y)
+		if last == 0 {
+			for w, v := range mask {
+				for ; v != 0; v &= v - 1 {
+					if b := w<<6 + bits.TrailingZeros64(v); b < zCols {
+						rhs[b] += t
+					}
+				}
+			}
+			continue
+		}
+		for w, v := range mask {
+			for v = ^v; v != 0; v &= v - 1 {
+				b := w<<6 + bits.TrailingZeros64(v)
+				if b >= zCols {
+					break
+				}
+				rhs[b] -= t
+			}
+		}
+	}
+	beta := linalg.CholeskySolve(p.chol, rhs)
 	sum := 0.0
 	for b := 0; b < zCols; b++ {
 		out.Phi[active[b]] = beta[b]

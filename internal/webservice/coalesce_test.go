@@ -30,6 +30,45 @@ func almostEqual(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
+// holdPasses makes every pass of s's coalescer wait until release is
+// called, so a test can line requests up behind a running pass
+// deterministically. Defer release after deferring the test server's
+// Close, which would otherwise wait on the held handlers.
+func holdPasses(t *testing.T, s *Server) (co *coalescer, release func()) {
+	t.Helper()
+	co = s.coalescerIfEnabled()
+	if co == nil {
+		t.Fatal("coalescing is disabled")
+	}
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	run := co.run
+	co.run = func(ctx context.Context, v *servingView, recs []*darshan.Record) ([]*core.Diagnosis, error) {
+		<-gate
+		return run(ctx, v, recs)
+	}
+	return co, release
+}
+
+// awaitInCoalescer waits until n requests have entered co: dispatched,
+// attached to a running pass, or parked.
+func awaitInCoalescer(t *testing.T, co *coalescer, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		co.mu.Lock()
+		in := int(co.fused) + len(co.pending)
+		co.mu.Unlock()
+		if in >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests reached the coalescer", in, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func assertParity(t *testing.T, got, want *DiagnosisResponse, label string) {
 	t.Helper()
 	if len(got.Models) != len(want.Models) || len(got.Factors) != len(want.Factors) {
@@ -61,6 +100,8 @@ func assertParity(t *testing.T, got, want *DiagnosisResponse, label string) {
 
 // TestCoalescedParity: concurrent single-job requests fused into one batch
 // return results numerically identical (≤1e-9) to the uncoalesced path.
+// The first request dispatches alone and is held running, so the other
+// distinct misses park behind it and fuse.
 func TestCoalescedParity(t *testing.T) {
 	ens := ensemble(t)
 
@@ -75,6 +116,8 @@ func TestCoalescedParity(t *testing.T) {
 	fused.CoalesceMax = 16
 	fusedSrv := httptest.NewServer(fused.Handler())
 	defer fusedSrv.Close()
+	co, release := holdPasses(t, fused)
+	defer release()
 
 	const jobs = 6
 	want := make([]*DiagnosisResponse, jobs)
@@ -98,6 +141,8 @@ func TestCoalescedParity(t *testing.T) {
 			got[i], errs[i] = fusedClient.Diagnose(coalesceRecord(12 + i))
 		}(i)
 	}
+	awaitInCoalescer(t, co, jobs)
+	release()
 	wg.Wait()
 	for i := 0; i < jobs; i++ {
 		if errs[i] != nil {
@@ -114,14 +159,17 @@ func TestCoalescedParity(t *testing.T) {
 	}
 }
 
-// TestCoalesceDuplicateFusion: a dogpile of identical cold requests
-// collapses to far fewer ensemble passes than requests.
+// TestCoalesceDuplicateFusion: a dogpile of identical cold requests costs
+// exactly one ensemble pass: the first dispatches, and every duplicate
+// arriving while it runs attaches to it.
 func TestCoalesceDuplicateFusion(t *testing.T) {
 	s := NewServer(ensemble(t), fastOpts())
 	s.CoalesceWindow = 50 * time.Millisecond
 	s.CoalesceMax = 64
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
+	co, release := holdPasses(t, s)
+	defer release()
 
 	const clients = 16
 	rec := coalesceRecord(40)
@@ -135,26 +183,126 @@ func TestCoalesceDuplicateFusion(t *testing.T) {
 			_, errs[i] = client.Diagnose(rec)
 		}(i)
 	}
+	awaitInCoalescer(t, co, clients)
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
-	batches, fusedCount := s.coal.stats()
+	batches, fusedCount := co.stats()
 	if fusedCount != clients {
 		t.Fatalf("coalescer saw %d requests, %d were sent", fusedCount, clients)
 	}
-	// All clients fire at once into a 50ms window: the dogpile must
-	// collapse to a handful of batches (each one ensemble pass per distinct
-	// job — and there is exactly one distinct job).
-	if batches > uint64(clients/4) {
-		t.Errorf("%d batches for %d identical concurrent requests — duplicate fusion is not collapsing the dogpile", batches, clients)
+	if batches != 1 {
+		t.Errorf("%d passes for %d identical concurrent requests, want 1", batches, clients)
+	}
+}
+
+// TestCoalesceLoneMissSkipsWindow: a single cold miss with no pass running
+// dispatches at once instead of waiting out the window for followers.
+func TestCoalesceLoneMissSkipsWindow(t *testing.T) {
+	s := NewServer(ensemble(t), fastOpts())
+	s.CoalesceWindow = 10 * time.Second
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	start := time.Now()
+	rep := send(srv, "/api/v1/diagnose", "text/plain", logBody(t, coalesceRecord(41)))
+	elapsed := time.Since(start)
+	var resp DiagnosisResponse
+	decodeOK(t, rep, &resp)
+	if elapsed > s.CoalesceWindow/2 {
+		t.Errorf("lone miss took %v under a %v window", elapsed, s.CoalesceWindow)
+	}
+	if got := rep.header.Get("X-AIIO-Coalesced"); got != "1" {
+		t.Errorf("X-AIIO-Coalesced = %q, want 1", got)
+	}
+}
+
+// TestCoalesceAttachWithinView: a duplicate attaches to a running pass of
+// its job — with or without a deadline — only when the pass was computed
+// by the duplicate's own view; under a newer view it gets a pass of its
+// own.
+func TestCoalesceAttachWithinView(t *testing.T) {
+	gate := make(chan struct{})
+	diagOf := map[*servingView]*core.Diagnosis{}
+	c := newCoalescer(time.Millisecond, 8,
+		func(ctx context.Context, v *servingView, recs []*darshan.Record) ([]*core.Diagnosis, error) {
+			<-gate
+			out := make([]*core.Diagnosis, len(recs))
+			for i := range out {
+				out[i] = diagOf[v]
+			}
+			return out, nil
+		})
+	v1, v2 := &servingView{version: 1}, &servingView{version: 2}
+	diagOf[v1], diagOf[v2] = &core.Diagnosis{}, &core.Diagnosis{}
+	rec := coalesceRecord(42)
+
+	bounded, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	type answer struct {
+		res coalescedResult
+		err error
+	}
+	submit := func(ctx context.Context, v *servingView) chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			res, err := c.submit(ctx, v, rec)
+			ch <- answer{res, err}
+		}()
+		return ch
+	}
+	await := func(passes, requests uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			if b, f := c.stats(); b == passes && f == requests {
+				return
+			}
+			if time.Now().After(deadline) {
+				b, f := c.stats()
+				t.Fatalf("%d passes serving %d requests, want %d serving %d", b, f, passes, requests)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	first := submit(bounded, v1) // dispatches at once
+	await(1, 1)
+	attached := submit(bounded, v1)
+	await(1, 2)
+	unbounded := submit(context.Background(), v1) // attaches, lifting the bound
+	await(1, 3)
+	swapped := submit(context.Background(), v2) // newer view: own pass
+	await(2, 4)
+	close(gate)
+
+	for _, tc := range []struct {
+		name    string
+		ch      chan answer
+		view    *servingView
+		batched int
+	}{
+		{"first", first, v1, 3},
+		{"attached duplicate", attached, v1, 3},
+		{"unbounded duplicate", unbounded, v1, 3},
+		{"duplicate under a newer view", swapped, v2, 1},
+	} {
+		a := <-tc.ch
+		if a.err != nil {
+			t.Fatalf("%s: %v", tc.name, a.err)
+		}
+		if a.res.diag != diagOf[tc.view] || a.res.batched != tc.batched {
+			t.Errorf("%s: served by the wrong pass (batched=%d, want %d)", tc.name, a.res.batched, tc.batched)
+		}
 	}
 }
 
 // TestCoalesceWaiterDeadline: a waiter whose context dies while parked
-// gets its error immediately; the batch serves the survivors.
+// behind a running pass gets its error immediately; its batch serves the
+// survivors.
 func TestCoalesceWaiterDeadline(t *testing.T) {
 	release := make(chan struct{})
 	c := newCoalescer(time.Hour /* never flush by timer */, 2,
@@ -164,6 +312,23 @@ func TestCoalesceWaiterDeadline(t *testing.T) {
 		})
 
 	view := &servingView{}
+	// A lone miss dispatches at once and holds a pass running, so the
+	// requests below park behind it.
+	running := make(chan error, 1)
+	go func() {
+		_, err := c.submit(context.Background(), view, coalesceRecord(7))
+		running <- err
+	}()
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		if batches, _ := c.stats(); batches == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the lone miss never dispatched")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
 	impatient, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	done := make(chan error, 1)
@@ -173,8 +338,8 @@ func TestCoalesceWaiterDeadline(t *testing.T) {
 		done <- err
 	}()
 
-	// The impatient waiter must get its deadline error while the batch is
-	// still parked (nothing has dispatched: max=2, one waiter).
+	// The impatient waiter must get its deadline error while its batch is
+	// still parked (nothing more has dispatched: max=2, one parked waiter).
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.DeadlineExceeded) {
@@ -182,6 +347,9 @@ func TestCoalesceWaiterDeadline(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("parked waiter did not honor its deadline")
+	}
+	if batches, _ := c.stats(); batches != 1 {
+		t.Fatalf("%d passes dispatched while one waiter was parked, want 1", batches)
 	}
 
 	// A second submit fills the batch (max=2) and dispatches; the batch
@@ -193,41 +361,89 @@ func TestCoalesceWaiterDeadline(t *testing.T) {
 	}()
 	time.Sleep(10 * time.Millisecond)
 	close(release)
-	select {
-	case err := <-patient:
-		if err != nil {
-			t.Fatalf("surviving waiter: %v", err)
+	for name, ch := range map[string]chan error{"surviving waiter": patient, "running pass": running} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s was never served", name)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("batch never served the surviving waiter")
 	}
 }
 
-// TestCoalesceBatchDeadlineIsLatestWaiter: the fused pass is bounded by
-// the slowest caller's deadline, not the fastest.
+// TestCoalesceBatchDeadlineIsLatestWaiter: a pass runs until the latest
+// deadline among its waiters — including a duplicate that attached after
+// it started — and without bound once a waiter has no deadline.
 func TestCoalesceBatchDeadlineIsLatestWaiter(t *testing.T) {
-	now := time.Now()
-	short, cancelShort := context.WithDeadline(context.Background(), now.Add(50*time.Millisecond))
+	ended := make(chan time.Time, 1)
+	release := make(chan struct{})
+	c := newCoalescer(time.Hour, 8,
+		func(ctx context.Context, v *servingView, recs []*darshan.Record) ([]*core.Diagnosis, error) {
+			select {
+			case <-ctx.Done():
+				ended <- time.Now()
+				return nil, ctx.Err()
+			case <-release:
+				return make([]*core.Diagnosis, len(recs)), nil
+			}
+		})
+	view := &servingView{}
+	submit := func(ctx context.Context, rec *darshan.Record, want uint64) chan error {
+		ch := make(chan error, 1)
+		go func() {
+			_, err := c.submit(ctx, view, rec)
+			ch <- err
+		}()
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			if _, f := c.stats(); f == want {
+				return ch
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("request %d never reached a pass", want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// Bounded waiters: the run outlives the impatient first caller and
+	// ends at the deadline of the duplicate that attached later.
+	short, cancelShort := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancelShort()
-	long, cancelLong := context.WithDeadline(context.Background(), now.Add(10*time.Second))
+	long, cancelLong := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancelLong()
-
-	batch := []*coalesceWaiter{{ctx: short}, {ctx: long}}
-	ctx, cancel := batchContext(batch)
-	defer cancel()
-	d, ok := ctx.Deadline()
-	if !ok {
-		t.Fatal("batch context has no deadline despite bounded waiters")
+	rec := coalesceRecord(8)
+	impatient := submit(short, rec, 1)
+	patient := submit(long, rec, 2)
+	if err := <-impatient; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("impatient waiter returned %v, want its deadline", err)
 	}
-	if d.Before(now.Add(5 * time.Second)) {
-		t.Fatalf("batch deadline %v follows the impatient waiter, want the latest", d.Sub(now))
+	longDeadline, _ := long.Deadline()
+	if at := <-ended; at.Before(longDeadline) {
+		t.Fatalf("pass cancelled %v before the latest waiter's deadline", longDeadline.Sub(at))
+	}
+	if err := <-patient; err == nil {
+		t.Fatal("patient waiter got a result from a cancelled pass")
 	}
 
-	unbounded := []*coalesceWaiter{{ctx: short}, {ctx: context.Background()}}
-	ctx2, cancel2 := batchContext(unbounded)
-	defer cancel2()
-	if _, ok := ctx2.Deadline(); ok {
-		t.Fatal("one unbounded waiter must make the batch unbounded")
+	// One unbounded waiter makes the pass unbounded.
+	short2, cancelShort2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancelShort2()
+	rec = coalesceRecord(9)
+	impatient = submit(short2, rec, 3)
+	unbounded := submit(context.Background(), rec, 4)
+	if err := <-impatient; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("impatient waiter returned %v, want its deadline", err)
+	}
+	select {
+	case <-ended:
+		t.Fatal("a pass with an unbounded waiter was cancelled")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-unbounded; err != nil {
+		t.Fatalf("unbounded waiter: %v", err)
 	}
 }
 

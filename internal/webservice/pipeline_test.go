@@ -83,7 +83,7 @@ func cacheCounters(t *testing.T, srv *httptest.Server) (hits, misses uint64) {
 }
 
 // TestCoalescedDiagnosisStampsComputingGeneration: a cold diagnosis parked
-// in the coalesce window while a new generation is adopted is labelled —
+// behind a running pass while a new generation is adopted is labelled —
 // X-AIIO-Generation and the registry advisory — with the generation whose
 // models are in its body.
 func TestCoalescedDiagnosisStampsComputingGeneration(t *testing.T) {
@@ -96,12 +96,19 @@ func TestCoalescedDiagnosisStampsComputingGeneration(t *testing.T) {
 	s.CoalesceWindow = 300 * time.Millisecond
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
+	co, release := holdPasses(t, s)
+	defer release()
 
+	// A lone miss dispatches at once; the held pass keeps it running so
+	// the diagnosis under test parks behind it.
+	blocker := make(chan reply, 1)
+	blockerBody := logBody(t, coalesceRecord(19))
+	go func() { blocker <- send(srv, "/api/v1/diagnose", "text/plain", blockerBody) }()
+	awaitInCoalescer(t, co, 1)
 	done := make(chan reply, 1)
 	body := logBody(t, coalesceRecord(20))
 	go func() { done <- send(srv, "/api/v1/diagnose", "text/plain", body) }()
 
-	co := s.coalescerIfEnabled()
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		co.mu.Lock()
 		parked := len(co.pending)
@@ -116,6 +123,10 @@ func TestCoalescedDiagnosisStampsComputingGeneration(t *testing.T) {
 	}
 	if err := s.AdoptGeneration(small, &core.LoadReport{Generation: 2}); err != nil {
 		t.Fatal(err)
+	}
+	release()
+	if rep := <-blocker; rep.err != nil || rep.status != http.StatusOK {
+		t.Fatalf("blocking diagnosis: HTTP %d, %v", rep.status, rep.err)
 	}
 
 	rep := <-done
@@ -233,7 +244,7 @@ func TestDiagnosisPathEquivalence(t *testing.T) {
 
 	for _, openBreaker := range []bool{false, true} {
 		label := fmt.Sprintf("breaker open=%v", openBreaker)
-		newServer := func(window time.Duration) *httptest.Server {
+		newServer := func(window time.Duration) (*Server, *httptest.Server) {
 			s := NewServer(ens, fastOpts())
 			s.CoalesceWindow = window
 			set, _ := breakerClock(1, time.Hour)
@@ -243,9 +254,16 @@ func TestDiagnosisPathEquivalence(t *testing.T) {
 			s.Breakers = set
 			srv := httptest.NewServer(s.Handler())
 			t.Cleanup(srv.Close)
-			return srv
+			return s, srv
 		}
-		direct, coalesced, batch := newServer(0), newServer(50*time.Millisecond), newServer(0)
+		_, direct := newServer(0)
+		coalescing, coalesced := newServer(50 * time.Millisecond)
+		_, batch := newServer(0)
+		// Hold the first pass so the other two requests join the
+		// coalescer behind it — the duplicate attached, the distinct job
+		// parked — instead of racing its cache fill.
+		co, release := holdPasses(t, coalescing)
+		t.Cleanup(release)
 
 		want := make([]*DiagnosisResponse, len(recs))
 		for i, rec := range recs {
@@ -274,6 +292,8 @@ func TestDiagnosisPathEquivalence(t *testing.T) {
 				fused[i] = send(coalesced, "/api/v1/diagnose", "text/plain", body)
 			}(i, logBody(t, rec))
 		}
+		awaitInCoalescer(t, co, len(recs))
+		release()
 		wg.Wait()
 		for i, rep := range fused {
 			var got DiagnosisResponse

@@ -134,10 +134,11 @@ type Server struct {
 	// freshly committed ensemble and its generation. Invoked single-flight
 	// from ingest; also reachable via TriggerRetrain.
 	Retrainer func(ctx context.Context) (*core.Ensemble, uint64, error)
-	// CoalesceWindow, when > 0, fuses single-job diagnose requests that
-	// arrive within the window into one DiagnoseBatch pass (duplicate jobs
-	// collapse to a single diagnosis fanned out to every caller). Set
-	// before the first request. See coalesce.go.
+	// CoalesceWindow, when > 0, fuses single-job diagnose misses into
+	// DiagnoseBatch passes: misses arriving while a pass runs park for up
+	// to the window and fuse, a duplicate of a running job joins its pass,
+	// and a lone miss dispatches at once. Set before the first request.
+	// See coalesce.go.
 	CoalesceWindow time.Duration
 	// CoalesceMax caps one fused batch (DefaultCoalesceMax when 0); a full
 	// batch dispatches without waiting out the window.
