@@ -22,7 +22,8 @@ import (
 // and allocs/op is a steady-state number, not an early-exit artifact.
 
 // BenchmarkTrainPerFamily measures one cold fit per model family on the
-// 900-job fixture frame: the trees at the Fast round budget, the nets at
+// 900-job fixture frame: the trees at the Fast round budget (gbdt is the
+// level-wise xgboost variant, gbdt-oblivious the catboost one), the nets at
 // their full cold topology (the paper's 6-layer MLP, default TabNet) with
 // the epoch budget cut so an iteration stays CI-sized — per-epoch cost is
 // what the kernels change, so the ratio is budget-independent. The
@@ -33,18 +34,23 @@ func BenchmarkTrainPerFamily(b *testing.B) {
 	frame, _, _ := fixture(b)
 	train, eval := frame.Split(1, 0.75)
 
-	b.Run("gbdt", func(b *testing.B) {
-		cfg := gbdt.DefaultConfig(gbdt.LevelWise)
-		cfg.Rounds = 60
-		cfg.EarlyStoppingRounds = 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := gbdt.Train(cfg, train.X, train.Y, eval.X, eval.Y); err != nil {
-				b.Fatal(err)
+	for _, v := range []struct {
+		name    string
+		variant gbdt.Variant
+	}{{"gbdt", gbdt.LevelWise}, {"gbdt-oblivious", gbdt.Oblivious}} {
+		b.Run(v.name, func(b *testing.B) {
+			cfg := gbdt.DefaultConfig(v.variant)
+			cfg.Rounds = 60
+			cfg.EarlyStoppingRounds = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := gbdt.Train(cfg, train.X, train.Y, eval.X, eval.Y); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 	mlpCfg := func(ref bool) mlp.Config {
 		cfg := mlp.DefaultConfig()
 		cfg.Epochs = 15

@@ -70,7 +70,11 @@ type Config struct {
 	// DisableHistSubtraction turns off the parent−sibling histogram trick
 	// (LightGBM/XGBoost's key histogram optimization) and rebuilds every
 	// node's histogram from its samples. Exists for the equivalence test
-	// and the ablation benchmark; results are identical either way.
+	// and the ablation benchmark. The trees are equivalent but not bitwise
+	// identical: a subtracted histogram differs from a rebuilt one in float
+	// rounding, which can flip a tie-break between near-equal splits
+	// (TestHistSubtractionEquivalence holds eval RMSE within 2%). Oblivious
+	// never subtracts, so the flag changes nothing there.
 	DisableHistSubtraction bool
 	Seed                   int64
 }
@@ -189,6 +193,8 @@ type trainer struct {
 	// splitScratch is bestSplit's per-feature candidate buffer, reused
 	// across nodes (parallelFor writes disjoint slots, so no aliasing).
 	splitScratch []splitCandidate
+	// splitTotal is obliviousSplit's per-bin gain total for one feature.
+	splitTotal []float64
 }
 
 // Train fits a boosted ensemble on x/y. evalX/evalY form the held-out set
@@ -246,20 +252,7 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 	if bins == nil {
 		bins = FitBins(x, cfg.MaxBins)
 	}
-	tr := &trainer{
-		cfg:   cfg,
-		bins:  bins,
-		cols:  bins.BinMatrix(x),
-		nBins: make([]int, x.Cols),
-		y:     y,
-		grad:  make([]float64, x.Rows),
-		hess:  make([]float64, x.Rows),
-		pred:  make([]float64, x.Rows),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}
-	for f := 0; f < x.Cols; f++ {
-		tr.nBins[f] = bins.NumBins(f)
-	}
+	tr := newTrainer(cfg, bins, x, y)
 
 	m := &Model{
 		Config: cfg,
@@ -351,6 +344,25 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 	m.BestIteration = bestIter
 	m.Trees = m.Trees[:bestIter+1]
 	return m, nil
+}
+
+// newTrainer binds the per-fit state for x/y binned by bins.
+func newTrainer(cfg Config, bins *BinMapper, x *linalg.Matrix, y []float64) *trainer {
+	tr := &trainer{
+		cfg:   cfg,
+		bins:  bins,
+		cols:  bins.BinMatrix(x),
+		nBins: make([]int, x.Cols),
+		y:     y,
+		grad:  make([]float64, x.Rows),
+		hess:  make([]float64, x.Rows),
+		pred:  make([]float64, x.Rows),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+	}
+	for f := 0; f < x.Cols; f++ {
+		tr.nBins[f] = bins.NumBins(f)
+	}
+	return tr
 }
 
 func rmse(pred, y []float64) float64 {
@@ -868,51 +880,15 @@ func (tr *trainer) buildOblivious(m *Model) *Tree {
 	g, h := tr.sums(0, len(tr.idx))
 	root := t.leaf(tr.leafValue(g, h))
 	level := []levelTask{{node: root, lo: 0, hi: len(tr.idx), sumG: g, sumH: h}}
-	hist := tr.newHistogram()
 
 	for depth := 0; depth < tr.cfg.MaxDepth; depth++ {
-		// Accumulate per-leaf histograms and score each candidate by the
-		// total gain over all leaves.
-		type leafHist struct {
-			data []float64
+		for i := range level {
+			level[i].hist = tr.newHistogram()
+			tr.buildHist(level[i].hist, level[i].lo, level[i].hi)
 		}
-		hists := make([]leafHist, len(level))
-		for li, task := range level {
-			tr.buildHist(hist, task.lo, task.hi)
-			cp := make([]float64, len(hist.data))
-			copy(cp, hist.data)
-			hists[li] = leafHist{data: cp}
-		}
-		bestGain := 0.0
-		bestSlot, bestBin := -1, uint8(0)
-		for s := range tr.features {
-			base := 2 * hist.base[s]
-			for b := 0; b < hist.nBins[s]-1; b++ {
-				total := 0.0
-				ok := false
-				for li, task := range level {
-					gl, hl := 0.0, 0.0
-					for bb := 0; bb <= b; bb++ {
-						gl += hists[li].data[base+2*bb]
-						hl += hists[li].data[base+2*bb+1]
-					}
-					gr := task.sumG - gl
-					hr := task.sumH - hl
-					if hl < tr.cfg.MinChildWeight || hr < tr.cfg.MinChildWeight {
-						continue
-					}
-					gain := 0.5*(tr.score(gl, hl)+tr.score(gr, hr)-tr.score(task.sumG, task.sumH)) - tr.cfg.Gamma
-					if gain > 0 {
-						total += gain
-						ok = true
-					}
-				}
-				if ok && total > bestGain {
-					bestGain = total
-					bestSlot = s
-					bestBin = uint8(b)
-				}
-			}
+		bestGain, bestSlot, bestBin := tr.obliviousSplit(level)
+		for _, task := range level {
+			tr.freeHist(task.hist)
 		}
 		if bestSlot < 0 {
 			break
@@ -953,6 +929,66 @@ func (tr *trainer) buildOblivious(m *Model) *Tree {
 			break
 		}
 	}
-	tr.freeHist(hist)
 	return t
+}
+
+// obliviousSplit picks a level's shared split from the leaves' histograms
+// (level[i].hist): the (slot, bin) whose positive per-leaf gains sum
+// highest, scanned in ascending (slot, bin) order so ties keep the first.
+// It returns slot -1 when no candidate has a positive total.
+//
+// Each leaf's bins are walked once per feature with running prefix sums,
+// adding the leaf's gain at every bin into splitTotal, so a level costs
+// O(leaves × bins) per feature rather than O(leaves × bins²). Every bin's
+// total still adds the leaves in level order from zero, so the gains and
+// the chosen split are bitwise those of the per-candidate rescan (kept in
+// the tests as the oracle). Only positive gains are added, so a total is
+// positive exactly when some leaf can take the split.
+func (tr *trainer) obliviousSplit(level []levelTask) (bestGain float64, bestSlot int, bestBin uint8) {
+	bestSlot = -1
+	for s := range tr.features {
+		// A split "at bin b" sends bins <= b left; the last bin cannot be a
+		// split point.
+		nb := level[0].hist.nBins[s] - 1
+		if nb <= 0 {
+			continue
+		}
+		if cap(tr.splitTotal) < nb {
+			tr.splitTotal = make([]float64, nb, MaxBins)
+		}
+		total := tr.splitTotal[:nb]
+		clear(total)
+		for _, task := range level {
+			h := task.hist
+			data := h.data[2*h.base[s] : 2*(h.base[s]+nb)]
+			parent := tr.score(task.sumG, task.sumH)
+			gl, hl, gain := 0.0, 0.0, 0.0
+			for b := 0; b < nb; b++ {
+				g, hw := data[2*b], data[2*b+1]
+				// An empty bin leaves the prefix sums, and so the gain, as
+				// they were at the previous bin.
+				if b == 0 || g != 0 || hw != 0 {
+					gl += g
+					hl += hw
+					gr := task.sumG - gl
+					hr := task.sumH - hl
+					gain = 0
+					if !(hl < tr.cfg.MinChildWeight || hr < tr.cfg.MinChildWeight) {
+						if v := 0.5*(tr.score(gl, hl)+tr.score(gr, hr)-parent) - tr.cfg.Gamma; v > 0 {
+							gain = v
+						}
+					}
+				}
+				if gain > 0 {
+					total[b] += gain
+				}
+			}
+		}
+		for b, v := range total {
+			if v > bestGain {
+				bestGain, bestSlot, bestBin = v, s, uint8(b)
+			}
+		}
+	}
+	return bestGain, bestSlot, bestBin
 }
