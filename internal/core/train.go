@@ -44,11 +44,6 @@ type TrainOptions struct {
 	// GBDTRounds / NNEpochs override the budgets when > 0.
 	GBDTRounds int
 	NNEpochs   int
-	// ReferenceKernels routes the net families' training through the
-	// original per-row scalar loops instead of the vectorized kernel path
-	// (the equivalence mode mirroring gbdt's DisableHistSubtraction) — for
-	// parity tests and as the before-side baseline in training benchmarks.
-	ReferenceKernels bool
 	// WarmStart seeds each model from its counterpart in WarmFrom (the
 	// previous generation) on a WarmBudgetFrac-scaled budget, per family:
 	// gbdt continues boosting from the prior trees, mlp/tabnet start from
@@ -230,7 +225,6 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 			cfg := mlp.DefaultConfig()
 			cfg.Epochs = nnEpochs
 			cfg.Seed = opts.Seed
-			cfg.ReferenceKernels = opts.ReferenceKernels
 			if opts.Fast {
 				cfg.Hidden = []int{45, 24, 12}
 			}
@@ -266,7 +260,6 @@ func TrainEnsembleContext(ctx context.Context, frame *features.Frame, opts Train
 			cfg := tabnet.DefaultConfig()
 			cfg.Epochs = nnEpochs
 			cfg.Seed = opts.Seed
-			cfg.ReferenceKernels = opts.ReferenceKernels
 			var prev *tabnet.Model
 			if pm, why := prior(name); pm != nil {
 				if n, ok := TabNetModel(pm); ok {

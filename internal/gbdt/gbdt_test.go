@@ -426,7 +426,7 @@ func TestHistSubtractionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.DisableHistSubtraction = true
+		cfg.noHistSubtraction = true
 		slow, err := Train(cfg, xTr, yTr, xEv, yEv)
 		if err != nil {
 			t.Fatal(err)

@@ -67,16 +67,17 @@ type Config struct {
 	// EarlyStoppingRounds stops training when the eval RMSE has not
 	// improved for this many rounds (the paper uses 10). Zero disables.
 	EarlyStoppingRounds int
-	// DisableHistSubtraction turns off the parent−sibling histogram trick
+	Seed                int64
+
+	// noHistSubtraction turns off the parent−sibling histogram trick
 	// (LightGBM/XGBoost's key histogram optimization) and rebuilds every
-	// node's histogram from its samples. Exists for the equivalence test
-	// and the ablation benchmark. The trees are equivalent but not bitwise
-	// identical: a subtracted histogram differs from a rebuilt one in float
-	// rounding, which can flip a tie-break between near-equal splits
-	// (TestHistSubtractionEquivalence holds eval RMSE within 2%). Oblivious
-	// never subtracts, so the flag changes nothing there.
-	DisableHistSubtraction bool
-	Seed                   int64
+	// node's histogram from its samples. Only the equivalence test sets it.
+	// The trees are equivalent but not bitwise identical: a subtracted
+	// histogram differs from a rebuilt one in float rounding, which can flip
+	// a tie-break between near-equal splits (TestHistSubtractionEquivalence
+	// holds eval RMSE within 2%). Oblivious never subtracts, so the flag
+	// changes nothing there.
+	noHistSubtraction bool
 }
 
 // DefaultConfig returns library-default-like hyperparameters for a variant.
@@ -592,7 +593,7 @@ func subtractHist(dst, parent, sibling *histogram) {
 func (tr *trainer) childHists(parent *histogram, lo, mid, hi int) (left, right *histogram) {
 	left = tr.newHistogram()
 	right = tr.newHistogram()
-	if tr.cfg.DisableHistSubtraction || parent == nil {
+	if tr.cfg.noHistSubtraction || parent == nil {
 		tr.buildHist(left, lo, mid)
 		tr.buildHist(right, mid, hi)
 		return left, right

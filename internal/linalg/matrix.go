@@ -52,6 +52,19 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
+// Reshape resizes m to rows x cols in place, reusing its backing array when
+// it is large enough, and returns m. Contents are unspecified after the
+// call.
+func (m *Matrix) Reshape(rows, cols int) *Matrix {
+	n := rows * cols
+	if cap(m.Data) < n {
+		m.Data = make([]float64, n)
+	}
+	m.Data = m.Data[:n]
+	m.Rows, m.Cols = rows, cols
+	return m
+}
+
 // Clone deep-copies the matrix.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)

@@ -16,24 +16,25 @@ import (
 // (ColSumsAcc for db, GemmTA for dW += Gᵀ·X, Gemm for dX = G·W), all built
 // on the Axpy2 paired rank-1 kernel.
 //
-// Equivalence with the scalar reference path (Config.ReferenceKernels): the
-// same gradients up to FP reassociation — the kernels pair rows and fuse
-// multiply-adds, so per-element sums associate differently. RNG consumption
-// is identical by construction: the dropout loop below draws one rng.Float64
-// per activation element in the same order as the reference loop, keeping
-// the epoch shuffles of the two paths aligned so parity tests see FP drift
-// only. mlp_parity_test.go pins the divergence after several epochs.
+// Equivalence with the scalar reference step (trainStep, kept in
+// reference_test.go): the same gradients up to FP reassociation — the
+// kernels pair rows and fuse multiply-adds, so per-element sums associate
+// differently. RNG consumption is identical by construction: the dropout
+// loop below draws one rng.Float64 per activation element in the same order
+// as the reference loop, keeping the epoch shuffles of the two paths aligned
+// so parity tests see FP drift only. train_parity_test.go pins the
+// divergence after several epochs.
 
 // trainScratch is the reusable per-Train state of the fast path.
 type trainScratch struct {
-	xb   linalg.Matrix   // standardized batch input
-	yb   []float64       // batch targets
-	act  []linalg.Matrix // post-block activation per hidden layer
-	mask []linalg.Matrix // fused ReLU x dropout backward masks
-	xhat []linalg.Matrix // BN normalized caches
-	out  linalg.Matrix   // final linear output (batch x 1)
-	gA   linalg.Matrix   // ping-pong gradient blocks
-	gB   linalg.Matrix
+	xb       linalg.Matrix   // standardized batch input
+	yb       []float64       // batch targets
+	act      []linalg.Matrix // post-block activation per hidden layer
+	mask     []linalg.Matrix // fused ReLU x dropout backward masks
+	xhat     []linalg.Matrix // BN normalized caches
+	out      linalg.Matrix   // final linear output (batch x 1)
+	gA       linalg.Matrix   // ping-pong gradient blocks
+	gB       linalg.Matrix
 	bnMean   [][]float64
 	bnInvStd [][]float64
 	sumG     []float64 // BN backward column reductions
@@ -52,18 +53,18 @@ func newTrainScratch(m *Model, batch, inCols int) *trainScratch {
 		bnMean:   make([][]float64, len(m.BN)),
 		bnInvStd: make([][]float64, len(m.BN)),
 	}
-	reshape(&ts.xb, batch, inCols)
+	ts.xb.Reshape(batch, inCols)
 	maxDim := 1
 	for l, dim := range m.Config.Hidden {
 		if dim > maxDim {
 			maxDim = dim
 		}
-		reshape(&ts.act[l], batch, dim)
-		reshape(&ts.mask[l], batch, dim)
+		ts.act[l].Reshape(batch, dim)
+		ts.mask[l].Reshape(batch, dim)
 	}
 	for i := range m.BN {
 		dim := m.BN[i].Dim
-		reshape(&ts.xhat[i], batch, dim)
+		ts.xhat[i].Reshape(batch, dim)
 		ts.bnMean[i] = make([]float64, dim)
 		ts.bnInvStd[i] = make([]float64, dim)
 	}
@@ -71,9 +72,9 @@ func newTrainScratch(m *Model, batch, inCols int) *trainScratch {
 	ts.sumGX = make([]float64, maxDim)
 	ts.bnCoef = make([]float64, maxDim)
 	ts.dropU = make([]float64, batch*maxDim)
-	reshape(&ts.out, batch, 1)
-	reshape(&ts.gA, batch, maxDim)
-	reshape(&ts.gB, batch, maxDim)
+	ts.out.Reshape(batch, 1)
+	ts.gA.Reshape(batch, maxDim)
+	ts.gB.Reshape(batch, maxDim)
 	return ts
 }
 
@@ -101,9 +102,10 @@ func denseBackwardInto(d *DenseState, x, g *linalg.Matrix, gw, gb []float64, gin
 	}
 }
 
-// bnForwardTrainInto is bnForwardTrain on scratch: x is normalized in place
-// (the pre-BN values are not needed by backward), xhat/mean/invStd are
-// written into the reusable slabs, and running stats update as usual.
+// bnForwardTrainInto is batch norm's training forward on scratch: x is
+// normalized in place (the pre-BN values are not needed by backward),
+// xhat/mean/invStd are written into the reusable slabs, and running stats
+// update as usual.
 func bnForwardTrainInto(bn *BNState, x, xhat *linalg.Matrix, mean, invStd []float64) {
 	n := float64(x.Rows)
 	for j := range mean {
@@ -134,10 +136,10 @@ func bnForwardTrainInto(bn *BNState, x, xhat *linalg.Matrix, mean, invStd []floa
 	}
 }
 
-// bnBackwardInto is bnBackward on scratch, writing dL/dx into gin. The
-// column reductions Σg and Σg·x̂ are computed once and serve double duty:
-// added into gBeta/gGamma (the parameter gradients are exactly those sums)
-// and rescaled by 1/n in place as the c2/c3 coefficients of the input
+// bnBackwardInto is batch norm's backward on scratch, writing dL/dx into
+// gin. The column reductions Σg and Σg·x̂ are computed once and serve double
+// duty: added into gBeta/gGamma (the parameter gradients are exactly those
+// sums) and rescaled by 1/n in place as the c2/c3 coefficients of the input
 // gradient, with c1 = γ·invStd staged in coef.
 func bnBackwardInto(bn *BNState, xhat, g *linalg.Matrix, invStd []float64,
 	gGamma, gBeta []float64, gin *linalg.Matrix, sumG, sumGX, coef []float64) {
@@ -167,15 +169,16 @@ func bnBackwardInto(bn *BNState, xhat, g *linalg.Matrix, invStd []float64,
 	}
 }
 
-// trainStepFast is the blocked forward/backward pass: the same math as
-// trainStep over the batch rows batch (indices into xs/ys), with gradients
-// accumulated into grads.
+// trainStepFast is the blocked forward/backward pass over the batch rows
+// batch (indices into xs/ys), with gradients accumulated into grads, laid
+// out as Model.params lists the tensors.
 func (m *Model) trainStepFast(ts *trainScratch, batch []int, xs *linalg.Matrix, ys []float64,
-	grads [][]float64, denseW, denseB, bnG, bnB []int, rng *rand.Rand) {
+	grads [][]float64, rng *rand.Rand) {
 
 	rows := len(batch)
 	nHidden := len(m.Config.Hidden)
-	xb := reshape(&ts.xb, rows, xs.Cols)
+	bnGrads := grads[2*len(m.Dense):] // the tensor layout of Model.params
+	xb := ts.xb.Reshape(rows, xs.Cols)
 	yb := ts.yb[:rows]
 	for bi, i := range batch {
 		copy(xb.Row(bi), xs.Row(i))
@@ -193,16 +196,16 @@ func (m *Model) trainStepFast(ts *trainScratch, batch []int, xs *linalg.Matrix, 
 	h := xb
 	for l := 0; l < nHidden; l++ {
 		d := &m.Dense[l]
-		dst := reshape(&ts.act[l], rows, d.Out)
+		dst := ts.act[l].Reshape(rows, d.Out)
 		denseForwardInto(d, h, dst)
 		if l > 0 {
 			bn := &m.BN[l-1]
-			bnForwardTrainInto(bn, dst, reshape(&ts.xhat[l-1], rows, bn.Dim),
+			bnForwardTrainInto(bn, dst, ts.xhat[l-1].Reshape(rows, bn.Dim),
 				ts.bnMean[l-1], ts.bnInvStd[l-1])
 		}
 		// ReLU, recording the keep mask; dropout then folds its inverted
 		// scale into the same mask so backward applies both in one pass.
-		mk := reshape(&ts.mask[l], rows, d.Out)
+		mk := ts.mask[l].Reshape(rows, d.Out)
 		linalg.ReLUMask(dst.Data, mk.Data)
 		if l > 0 && m.Config.Dropout > 0 {
 			keep := 1 - m.Config.Dropout
@@ -218,38 +221,38 @@ func (m *Model) trainStepFast(ts *trainScratch, batch []int, xs *linalg.Matrix, 
 		}
 		h = dst
 	}
-	out := reshape(&ts.out, rows, 1)
+	out := ts.out.Reshape(rows, 1)
 	denseForwardInto(&m.Dense[nHidden], h, out)
 
 	// MSE gradient on the single output, then walk the layers back down
 	// ping-ponging between the two gradient blocks.
 	bufs := [2]*linalg.Matrix{&ts.gA, &ts.gB}
-	cur := reshape(bufs[0], rows, 1)
+	cur := bufs[0].Reshape(rows, 1)
 	curIdx := 0
 	inv := 1 / float64(rows)
 	for i := 0; i < rows; i++ {
 		cur.Data[i] = (out.Data[i] - yb[i]) * inv
 	}
-	next := reshape(bufs[1], rows, m.Dense[nHidden].In)
+	next := bufs[1].Reshape(rows, m.Dense[nHidden].In)
 	denseBackwardInto(&m.Dense[nHidden], input(nHidden), cur,
-		grads[denseW[nHidden]], grads[denseB[nHidden]], next)
+		grads[2*nHidden], grads[2*nHidden+1], next)
 	cur, curIdx = next, 1
 
 	for l := nHidden - 1; l >= 0; l-- {
 		linalg.EMul(cur.Data, ts.mask[l].Data)
 		if l > 0 {
 			bn := &m.BN[l-1]
-			nxt := reshape(bufs[1-curIdx], rows, bn.Dim)
+			nxt := bufs[1-curIdx].Reshape(rows, bn.Dim)
 			bnBackwardInto(bn, &ts.xhat[l-1], cur, ts.bnInvStd[l-1],
-				grads[bnG[l-1]], grads[bnB[l-1]], nxt, ts.sumG, ts.sumGX, ts.bnCoef)
+				bnGrads[2*l-2], bnGrads[2*l-1], nxt, ts.sumG, ts.sumGX, ts.bnCoef)
 			cur, curIdx = nxt, 1-curIdx
 		}
 		d := &m.Dense[l]
 		var gin *linalg.Matrix
 		if l > 0 {
-			gin = reshape(bufs[1-curIdx], rows, d.In)
+			gin = bufs[1-curIdx].Reshape(rows, d.In)
 		}
-		denseBackwardInto(d, input(l), cur, grads[denseW[l]], grads[denseB[l]], gin)
+		denseBackwardInto(d, input(l), cur, grads[2*l], grads[2*l+1], gin)
 		if l > 0 {
 			cur, curIdx = gin, 1-curIdx
 		}

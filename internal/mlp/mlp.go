@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"github.com/hpc-repro/aiio/internal/linalg"
+	"github.com/hpc-repro/aiio/internal/nntrain"
 	"github.com/hpc-repro/aiio/internal/parallel"
 )
 
@@ -37,12 +38,6 @@ type Config struct {
 	// improved for this many epochs; the best-epoch weights are restored.
 	EarlyStoppingRounds int
 	Seed                int64
-	// ReferenceKernels routes training through the original per-row scalar
-	// forward/backward loops instead of the blocked GEMM fast path. The two
-	// paths compute the same gradients up to FP reassociation (the fast path
-	// pairs rows and fuses multiply-adds); this flag exists for equivalence
-	// tests, in the spirit of gbdt's DisableHistSubtraction.
-	ReferenceKernels bool
 	// WarmDriftTol is the input-drift score above which CanWarmStart
 	// rejects seeding from a previous model (0 means DefaultWarmDriftTol).
 	WarmDriftTol float64
@@ -95,39 +90,11 @@ type Model struct {
 	EvalLoss  []float64
 	BestEpoch int
 
-	// invStd caches 1/Std with a unit-scale guard for zero or non-finite
-	// entries (legacy serialized models predate the fit-time clamp). Both
-	// fields are unexported, so gob ignores them and the zero value works
-	// for decoded models.
-	invOnce  sync.Once
-	invStd   []float64
-	stdShift []float64
+	// scaler caches the standardization coefficients of Mean/Std.
+	scaler nntrain.Scaler
 	// scratch pools per-worker forward buffers so batch inference reuses
 	// activation matrices instead of allocating per dense layer per shard.
 	scratch sync.Pool
-}
-
-// inputInvStd returns the cached per-column reciprocal of Std. Entries that
-// are zero, negative, or non-finite fall back to 1 so standardization can
-// never manufacture a NaN at inference time.
-func (m *Model) inputInvStd() []float64 {
-	m.invOnce.Do(func() {
-		inv := make([]float64, len(m.Std))
-		for j, s := range m.Std {
-			if s > 0 && !math.IsInf(s, 1) {
-				inv[j] = 1 / s
-			} else {
-				inv[j] = 1
-			}
-		}
-		m.invStd = inv
-		shift := make([]float64, len(m.Std))
-		for j := range shift {
-			shift[j] = -m.Mean[j] * inv[j]
-		}
-		m.stdShift = shift
-	})
-	return m.invStd
 }
 
 // fwdScratch is one worker's reusable forward-pass state: the standardized
@@ -139,18 +106,6 @@ type fwdScratch struct {
 	scale, shift []float64
 }
 
-// reshape resizes m to rows x cols, reusing its backing array when large
-// enough, and returns it. Contents are unspecified after the call.
-func reshape(m *linalg.Matrix, rows, cols int) *linalg.Matrix {
-	n := rows * cols
-	if cap(m.Data) < n {
-		m.Data = make([]float64, n)
-	}
-	m.Data = m.Data[:n]
-	m.Rows, m.Cols = rows, cols
-	return m
-}
-
 func (m *Model) getScratch() *fwdScratch {
 	if s, ok := m.scratch.Get().(*fwdScratch); ok {
 		return s
@@ -160,37 +115,10 @@ func (m *Model) getScratch() *fwdScratch {
 
 func (m *Model) putScratch(s *fwdScratch) { m.scratch.Put(s) }
 
-// adam is per-tensor Adam state.
-type adam struct {
-	m, v []float64
-	t    int
-}
-
-func newAdam(n int) *adam { return &adam{m: make([]float64, n), v: make([]float64, n)} }
-
-// step applies one Adam update. The fast path runs the vectorized
-// linalg.AdamStep; reference keeps the original scalar loop (with the
-// textbook bias-correction divisions) as the equivalence-mode baseline.
-func (a *adam) step(w, g []float64, lr float64, reference bool) {
-	a.t++
-	b1, b2, eps := 0.9, 0.999, 1e-8
-	c1 := 1 - math.Pow(b1, float64(a.t))
-	c2 := 1 - math.Pow(b2, float64(a.t))
-	if !reference {
-		linalg.AdamStep(w, a.m, a.v, g, b1, b2, c1, c2, lr, eps)
-		return
-	}
-	for i := range w {
-		a.m[i] = b1*a.m[i] + (1-b1)*g[i]
-		a.v[i] = b2*a.v[i] + (1-b2)*g[i]*g[i]
-		w[i] -= lr * (a.m[i] / c1) / (math.Sqrt(a.v[i]/c2) + eps)
-	}
-}
-
 // Train fits the network on x/y with eval-based early stopping. evalX may be
 // nil to train the full epoch budget.
 func Train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64) (*Model, error) {
-	return train(cfg, x, y, evalX, evalY, nil)
+	return train(cfg, x, y, evalX, evalY, nil, fastStep)
 }
 
 // TrainWarm fits like Train but seeds the network, standardizer, and target
@@ -205,10 +133,14 @@ func TrainWarm(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, 
 	if ok, _ := CanWarmStart(prev, cfg, x, y); !ok {
 		prev = nil
 	}
-	return train(cfg, x, y, evalX, evalY, prev)
+	return train(cfg, x, y, evalX, evalY, prev, fastStep)
 }
 
-func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model) (*Model, error) {
+// stepper builds the per-mini-batch training step of a fit of m; Train and
+// TrainWarm use fastStep.
+type stepper func(m *Model, rng *rand.Rand) func(xs *linalg.Matrix, ys []float64, batch []int)
+
+func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model, newStep stepper) (*Model, error) {
 	if x.Rows == 0 {
 		return nil, errors.New("mlp: empty training set")
 	}
@@ -237,7 +169,8 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 		// would silently invalidate every layer.
 		m.adoptPrevious(prev)
 	} else {
-		m.fitStandardizer(x, y)
+		s := nntrain.FitStandardizer(x, y)
+		m.Mean, m.Std, m.ConstantCols, m.YMean, m.YStd = s.Mean, s.Std, s.ConstantCols, s.YMean, s.YStd
 
 		// Build layers: Dense(h0)+ReLU, then for each further hidden width
 		// Dense+BN+ReLU+Dropout, then Dense(1).
@@ -251,114 +184,65 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 		m.Dense = append(m.Dense, initDense(dims[len(dims)-1], 1, rng))
 	}
 
-	// Optimizer state per tensor.
-	opts := make([]*adam, 0, 2*len(m.Dense)+2*len(m.BN))
-	tensors := make([][]float64, 0, cap(opts))
-	grads := make([][]float64, 0, cap(opts))
-	addTensor := func(w []float64) int {
-		opts = append(opts, newAdam(len(w)))
-		tensors = append(tensors, w)
-		grads = append(grads, make([]float64, len(w)))
-		return len(tensors) - 1
+	loop := nntrain.Loop{
+		Epochs:              cfg.Epochs,
+		BatchSize:           cfg.BatchSize,
+		EarlyStoppingRounds: cfg.EarlyStoppingRounds,
+		Rng:                 rng,
+		Standardize:         m.standardize,
+		YMean:               m.YMean,
+		YStd:                m.YStd,
+		Step:                newStep(m, rng),
+		Predict:             m.predictStandardized,
+		State:               m.state(),
+		Warm:                prev != nil,
 	}
-	denseW := make([]int, len(m.Dense))
-	denseB := make([]int, len(m.Dense))
-	for i := range m.Dense {
-		denseW[i] = addTensor(m.Dense[i].W)
-		denseB[i] = addTensor(m.Dense[i].B)
-	}
-	bnG := make([]int, len(m.BN))
-	bnB := make([]int, len(m.BN))
-	for i := range m.BN {
-		bnG[i] = addTensor(m.BN[i].Gamma)
-		bnB[i] = addTensor(m.BN[i].Beta)
-	}
-
-	xs := m.standardize(x)
-	ys := make([]float64, len(y))
-	for i, v := range y {
-		ys[i] = (v - m.YMean) / m.YStd
-	}
-	var evalXS *linalg.Matrix
-	if evalX != nil && evalX.Rows > 0 {
-		evalXS = m.standardize(evalX)
-	}
-
-	best := math.Inf(1)
-	sinceBest := 0
-	var snapshot *Model
-	if prev != nil && evalXS != nil {
-		// The warm seed is already a working model: score it before the
-		// first epoch so early stopping restores it if no epoch improves.
-		best = rmseSlices(m.predictStandardized(evalXS), evalY)
-		m.BestEpoch = -1
-		snapshot = m.cloneWeights()
-	}
-
-	order := make([]int, x.Rows)
-	for i := range order {
-		order[i] = i
-	}
-
-	// The fast path reuses one set of batch-sized scratch slabs for every
-	// mini-batch of every epoch; only the reference path allocates per batch.
-	var ts *trainScratch
-	if !cfg.ReferenceKernels {
-		ts = newTrainScratch(m, cfg.BatchSize, x.Cols)
-	}
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for lo := 0; lo < len(order); lo += cfg.BatchSize {
-			hi := lo + cfg.BatchSize
-			if hi > len(order) {
-				hi = len(order)
-			}
-			batch := order[lo:hi]
-			for _, g := range grads {
-				for i := range g {
-					g[i] = 0
-				}
-			}
-			if ts != nil {
-				m.trainStepFast(ts, batch, xs, ys, grads, denseW, denseB, bnG, bnB, rng)
-			} else {
-				xb := linalg.NewMatrix(len(batch), x.Cols)
-				yb := make([]float64, len(batch))
-				for bi, i := range batch {
-					copy(xb.Row(bi), xs.Row(i))
-					yb[bi] = ys[i]
-				}
-				m.trainStep(xb, yb, grads, denseW, denseB, bnG, bnB, rng)
-			}
-			for i := range tensors {
-				opts[i].step(tensors[i], grads[i], cfg.LearningRate, cfg.ReferenceKernels)
-			}
-		}
-
-		m.TrainLoss = append(m.TrainLoss, m.rmseStandardized(xs, ys))
-		if evalXS != nil {
-			e := rmseSlices(m.predictStandardized(evalXS), evalY)
-			m.EvalLoss = append(m.EvalLoss, e)
-			if e < best-1e-12 {
-				best = e
-				m.BestEpoch = epoch
-				sinceBest = 0
-				snapshot = m.cloneWeights()
-			} else {
-				sinceBest++
-				if cfg.EarlyStoppingRounds > 0 && sinceBest >= cfg.EarlyStoppingRounds {
-					break
-				}
-			}
-		} else {
-			m.BestEpoch = epoch
-		}
-	}
-	if snapshot != nil {
-		m.restoreWeights(snapshot)
-	}
+	m.TrainLoss, m.EvalLoss, m.BestEpoch = loop.Run(x, y, evalX, evalY)
 	return m, nil
+}
+
+// params lists the Adam tensors with a zeroed gradient buffer for each:
+// dense layer l's W and B at 2l and 2l+1, then BN layer i's Gamma and Beta
+// at 2L+2i and 2L+2i+1, where L = len(m.Dense).
+func (m *Model) params() (params, grads [][]float64) {
+	for i := range m.Dense {
+		params = append(params, m.Dense[i].W, m.Dense[i].B)
+	}
+	for i := range m.BN {
+		params = append(params, m.BN[i].Gamma, m.BN[i].Beta)
+	}
+	for _, p := range params {
+		grads = append(grads, make([]float64, len(p)))
+	}
+	return params, grads
+}
+
+// state lists the tensors an early-stopping snapshot holds: the Adam
+// tensors plus the BN running statistics, which training updates outside
+// Adam.
+func (m *Model) state() [][]float64 {
+	var s [][]float64
+	for i := range m.Dense {
+		s = append(s, m.Dense[i].W, m.Dense[i].B)
+	}
+	for i := range m.BN {
+		s = append(s, m.BN[i].Gamma, m.BN[i].Beta, m.BN[i].Mean, m.BN[i].Var)
+	}
+	return s
+}
+
+// fastStep is the production training step: trainStepFast accumulates one
+// mini-batch's gradients on a trainScratch reused across the whole fit, then
+// Adam updates every tensor.
+func fastStep(m *Model, rng *rand.Rand) func(xs *linalg.Matrix, ys []float64, batch []int) {
+	params, grads := m.params()
+	opt := nntrain.NewAdam(params, grads, m.Config.LearningRate)
+	ts := newTrainScratch(m, m.Config.BatchSize, len(m.Mean))
+	return func(xs *linalg.Matrix, ys []float64, batch []int) {
+		opt.ZeroGrad()
+		m.trainStepFast(ts, batch, xs, ys, grads, rng)
+		opt.Step()
+	}
 }
 
 func initDense(in, out int, rng *rand.Rand) DenseState {
@@ -386,263 +270,14 @@ func initBN(dim int) BNState {
 	return bn
 }
 
-func (m *Model) fitStandardizer(x *linalg.Matrix, y []float64) {
-	m.Mean = make([]float64, x.Cols)
-	m.Std = make([]float64, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			m.Mean[j] += v
-		}
-	}
-	n := float64(x.Rows)
-	for j := range m.Mean {
-		m.Mean[j] /= n
-	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			d := v - m.Mean[j]
-			m.Std[j] += d * d
-		}
-	}
-	for j := range m.Std {
-		m.Std[j] = math.Sqrt(m.Std[j] / n)
-		if m.Std[j] < 1e-12 {
-			m.Std[j] = 1
-			m.ConstantCols = append(m.ConstantCols, j)
-		}
-	}
-	m.YMean = linalg.Mean(y)
-	s := 0.0
-	for _, v := range y {
-		d := v - m.YMean
-		s += d * d
-	}
-	m.YStd = math.Sqrt(s / n)
-	if m.YStd < 1e-12 {
-		m.YStd = 1
-	}
-}
-
 func (m *Model) standardize(x *linalg.Matrix) *linalg.Matrix {
-	return m.standardizeInto(linalg.NewMatrix(x.Rows, x.Cols), x)
+	return m.standardizeInto(&linalg.Matrix{}, x)
 }
 
 // standardizeInto writes the standardized rows of x into dst (resized as
-// needed) using the guarded reciprocal stddev.
+// needed).
 func (m *Model) standardizeInto(dst, x *linalg.Matrix) *linalg.Matrix {
-	inv := m.inputInvStd()
-	out := reshape(dst, x.Rows, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		// (v-mean)/std computed as v*inv - mean*inv with a cached shift
-		// vector — one fused multiply-add per element.
-		linalg.ScaleShiftInto(out.Row(i), x.Row(i), inv, m.stdShift)
-	}
-	return out
-}
-
-// denseForward computes y = x·Wᵀ + b.
-func denseForward(d *DenseState, x *linalg.Matrix) *linalg.Matrix {
-	out := linalg.NewMatrix(x.Rows, d.Out)
-	for i := 0; i < x.Rows; i++ {
-		xrow := x.Row(i)
-		orow := out.Row(i)
-		for o := 0; o < d.Out; o++ {
-			w := d.W[o*d.In : (o+1)*d.In]
-			orow[o] = linalg.Dot(w, xrow) + d.B[o]
-		}
-	}
-	return out
-}
-
-// denseBackward accumulates parameter gradients and returns dL/dx.
-func denseBackward(d *DenseState, x, gradOut *linalg.Matrix, gw, gb []float64) *linalg.Matrix {
-	gradIn := linalg.NewMatrix(x.Rows, d.In)
-	for i := 0; i < x.Rows; i++ {
-		xrow := x.Row(i)
-		grow := gradOut.Row(i)
-		girow := gradIn.Row(i)
-		for o := 0; o < d.Out; o++ {
-			g := grow[o]
-			if g == 0 {
-				continue
-			}
-			gb[o] += g
-			w := d.W[o*d.In : (o+1)*d.In]
-			gwRow := gw[o*d.In : (o+1)*d.In]
-			for j, xv := range xrow {
-				gwRow[j] += g * xv
-				girow[j] += g * w[j]
-			}
-		}
-	}
-	return gradIn
-}
-
-// bnForwardTrain normalizes per batch and updates running statistics.
-// It returns the output plus the caches needed for backward.
-func bnForwardTrain(bn *BNState, x *linalg.Matrix) (out *linalg.Matrix, xhat *linalg.Matrix, mean, invStd []float64) {
-	n := float64(x.Rows)
-	mean = make([]float64, bn.Dim)
-	variance := make([]float64, bn.Dim)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= n
-	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			d := v - mean[j]
-			variance[j] += d * d
-		}
-	}
-	invStd = make([]float64, bn.Dim)
-	const momentum = 0.9
-	for j := range variance {
-		variance[j] /= n
-		invStd[j] = 1 / math.Sqrt(variance[j]+1e-5)
-		bn.Mean[j] = momentum*bn.Mean[j] + (1-momentum)*mean[j]
-		bn.Var[j] = momentum*bn.Var[j] + (1-momentum)*variance[j]
-	}
-	xhat = linalg.NewMatrix(x.Rows, bn.Dim)
-	out = linalg.NewMatrix(x.Rows, bn.Dim)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		xrow := xhat.Row(i)
-		orow := out.Row(i)
-		for j, v := range row {
-			xrow[j] = (v - mean[j]) * invStd[j]
-			orow[j] = bn.Gamma[j]*xrow[j] + bn.Beta[j]
-		}
-	}
-	return out, xhat, mean, invStd
-}
-
-// bnForwardEval normalizes with running statistics.
-func bnForwardEval(bn *BNState, x *linalg.Matrix) *linalg.Matrix {
-	out := linalg.NewMatrix(x.Rows, bn.Dim)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		orow := out.Row(i)
-		for j, v := range row {
-			xhat := (v - bn.Mean[j]) / math.Sqrt(bn.Var[j]+1e-5)
-			orow[j] = bn.Gamma[j]*xhat + bn.Beta[j]
-		}
-	}
-	return out
-}
-
-// bnBackward computes dL/dx and accumulates gamma/beta gradients.
-func bnBackward(bn *BNState, xhat, gradOut *linalg.Matrix, invStd []float64, gGamma, gBeta []float64) *linalg.Matrix {
-	n := float64(gradOut.Rows)
-	sumG := make([]float64, bn.Dim)
-	sumGX := make([]float64, bn.Dim)
-	for i := 0; i < gradOut.Rows; i++ {
-		grow := gradOut.Row(i)
-		xrow := xhat.Row(i)
-		for j, g := range grow {
-			gGamma[j] += g * xrow[j]
-			gBeta[j] += g
-			sumG[j] += g
-			sumGX[j] += g * xrow[j]
-		}
-	}
-	gradIn := linalg.NewMatrix(gradOut.Rows, bn.Dim)
-	for i := 0; i < gradOut.Rows; i++ {
-		grow := gradOut.Row(i)
-		xrow := xhat.Row(i)
-		orow := gradIn.Row(i)
-		for j, g := range grow {
-			orow[j] = bn.Gamma[j] * invStd[j] * (g - sumG[j]/n - xrow[j]*sumGX[j]/n)
-		}
-	}
-	return gradIn
-}
-
-// trainStep runs one forward/backward pass on a standardized batch,
-// accumulating gradients into grads (indexed by the tensor ids). This is
-// the reference path (Config.ReferenceKernels): per-row scalar loops with
-// per-batch allocations, kept as the equivalence baseline for the blocked
-// trainStepFast in backprop.go.
-func (m *Model) trainStep(xb *linalg.Matrix, yb []float64, grads [][]float64,
-	denseW, denseB, bnG, bnB []int, rng *rand.Rand) {
-
-	nHidden := len(m.Config.Hidden)
-	acts := make([]*linalg.Matrix, 0, 2*nHidden+2) // inputs to each dense layer
-	reluMask := make([]*linalg.Matrix, nHidden)    // post-ReLU masks
-	dropMask := make([]*linalg.Matrix, nHidden)    // dropout masks
-	bnXhat := make([]*linalg.Matrix, len(m.BN))    // BN caches
-	bnInvStd := make([][]float64, len(m.BN))
-
-	h := xb
-	for l := 0; l < nHidden; l++ {
-		acts = append(acts, h)
-		h = denseForward(&m.Dense[l], h)
-		if l > 0 {
-			var xhat *linalg.Matrix
-			var invStd []float64
-			h, xhat, _, invStd = bnForwardTrain(&m.BN[l-1], h)
-			bnXhat[l-1] = xhat
-			bnInvStd[l-1] = invStd
-		}
-		// ReLU.
-		mask := linalg.NewMatrix(h.Rows, h.Cols)
-		for i := range h.Data {
-			if h.Data[i] > 0 {
-				mask.Data[i] = 1
-			} else {
-				h.Data[i] = 0
-			}
-		}
-		reluMask[l] = mask
-		// Dropout (inverted) on normalized hidden blocks.
-		if l > 0 && m.Config.Dropout > 0 {
-			dm := linalg.NewMatrix(h.Rows, h.Cols)
-			keep := 1 - m.Config.Dropout
-			for i := range h.Data {
-				if rng.Float64() < keep {
-					dm.Data[i] = 1 / keep
-					h.Data[i] *= dm.Data[i]
-				} else {
-					h.Data[i] = 0
-				}
-			}
-			dropMask[l] = dm
-		}
-	}
-	acts = append(acts, h)
-	out := denseForward(&m.Dense[nHidden], h)
-
-	// MSE gradient on the single output.
-	grad := linalg.NewMatrix(out.Rows, 1)
-	inv := 1 / float64(out.Rows)
-	for i := 0; i < out.Rows; i++ {
-		grad.Set(i, 0, (out.At(i, 0)-yb[i])*inv)
-	}
-
-	g := denseBackward(&m.Dense[nHidden], acts[nHidden], grad,
-		grads[denseW[nHidden]], grads[denseB[nHidden]])
-	for l := nHidden - 1; l >= 0; l-- {
-		if dropMask[l] != nil {
-			for i := range g.Data {
-				g.Data[i] *= dropMask[l].Data[i]
-			}
-		}
-		for i := range g.Data {
-			g.Data[i] *= reluMask[l].Data[i]
-		}
-		if l > 0 {
-			g = bnBackward(&m.BN[l-1], bnXhat[l-1], g, bnInvStd[l-1],
-				grads[bnG[l-1]], grads[bnB[l-1]])
-		}
-		g = denseBackward(&m.Dense[l], acts[l], g, grads[denseW[l]], grads[denseB[l]])
-	}
+	return m.scaler.Into(dst, x, m.Mean, m.Std)
 }
 
 // predictStandardized runs inference on already-standardized inputs,
@@ -668,7 +303,7 @@ func (m *Model) forwardStandardized(xs *linalg.Matrix, out []float64, sc *fwdScr
 	which := 0
 	for l := 0; l <= nHidden; l++ {
 		d := &m.Dense[l]
-		dst := reshape(bufs[which], h.Rows, d.Out)
+		dst := bufs[which].Reshape(h.Rows, d.Out)
 		which ^= 1
 		// Rows run sequentially here: callers already shard batches across
 		// the worker pool, so the nested parallelism of MulTInto would only
@@ -714,33 +349,14 @@ func (m *Model) forwardStandardized(xs *linalg.Matrix, out []float64, sc *fwdScr
 	}
 }
 
-func (m *Model) rmseStandardized(xs *linalg.Matrix, ys []float64) float64 {
-	pred := m.predictStandardized(xs)
-	s := 0.0
-	for i := range ys {
-		d := (pred[i]-m.YMean)/m.YStd - ys[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(ys)))
-}
-
-func rmseSlices(pred, y []float64) float64 {
-	s := 0.0
-	for i := range y {
-		d := pred[i] - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(y)))
-}
-
 // Predict returns the prediction for one raw feature vector. It sits on
 // the per-job advisory path, so the 1-row input and activation matrices
 // come from the model's scratch pool instead of fresh allocations.
 func (m *Model) Predict(x []float64) float64 {
 	sc := m.getScratch()
-	xs := reshape(&sc.xs, 1, len(x))
-	inv := m.inputInvStd()
-	linalg.ScaleShiftInto(xs.Data, x, inv, m.stdShift)
+	xs := sc.xs.Reshape(1, len(x))
+	inv, shift := m.scaler.Coeffs(m.Mean, m.Std)
+	linalg.ScaleShiftInto(xs.Data, x, inv, shift)
 	var out [1]float64
 	m.forwardStandardized(xs, out[:], sc)
 	m.putScratch(sc)
@@ -775,25 +391,6 @@ func (m *Model) PredictBatch(x *linalg.Matrix) []float64 {
 	return out
 }
 
-// cloneWeights snapshots the learned tensors (for early-stopping restore).
-func (m *Model) cloneWeights() *Model {
-	cp := &Model{}
-	cp.Dense = make([]DenseState, len(m.Dense))
-	for i, d := range m.Dense {
-		cp.Dense[i] = DenseState{In: d.In, Out: d.Out,
-			W: append([]float64(nil), d.W...), B: append([]float64(nil), d.B...)}
-	}
-	cp.BN = make([]BNState, len(m.BN))
-	for i, bn := range m.BN {
-		cp.BN[i] = BNState{Dim: bn.Dim,
-			Gamma: append([]float64(nil), bn.Gamma...),
-			Beta:  append([]float64(nil), bn.Beta...),
-			Mean:  append([]float64(nil), bn.Mean...),
-			Var:   append([]float64(nil), bn.Var...)}
-	}
-	return cp
-}
-
 // adoptPrevious deep-copies prev's standardizer, target scaling, and
 // learned tensors into m as the warm-start seed. prev is never aliased: the
 // previous generation may still be serving predictions concurrently.
@@ -814,19 +411,6 @@ func (m *Model) adoptPrevious(prev *Model) {
 			Beta:  append([]float64(nil), bn.Beta...),
 			Mean:  append([]float64(nil), bn.Mean...),
 			Var:   append([]float64(nil), bn.Var...)}
-	}
-}
-
-func (m *Model) restoreWeights(snap *Model) {
-	for i := range m.Dense {
-		copy(m.Dense[i].W, snap.Dense[i].W)
-		copy(m.Dense[i].B, snap.Dense[i].B)
-	}
-	for i := range m.BN {
-		copy(m.BN[i].Gamma, snap.BN[i].Gamma)
-		copy(m.BN[i].Beta, snap.BN[i].Beta)
-		copy(m.BN[i].Mean, snap.BN[i].Mean)
-		copy(m.BN[i].Var, snap.BN[i].Var)
 	}
 }
 

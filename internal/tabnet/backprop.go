@@ -13,11 +13,11 @@ import (
 // Axpy2 for input gradients (pairs of output units share one pass over the
 // destination).
 //
-// Equivalence with the reference path (Config.ReferenceKernels,
-// forwardSample/backwardSample): identical math up to FP reassociation and
-// the fused-GLU polynomial exp (~1e-13 relative); train_parity_test.go pins
-// the drift after several epochs. Training draws no RNG inside the batch
-// loop, so the two paths see identical shuffles for a given seed.
+// Equivalence with the reference step (forwardSample plus backwardSample,
+// which lives in reference_test.go): identical math up to FP reassociation
+// and the fused-GLU polynomial exp (~1e-13 relative); train_parity_test.go
+// pins the drift after several epochs. Training draws no RNG inside the
+// batch loop, so the two paths see identical shuffles for a given seed.
 
 // trainCache is the fast path's per-step forward state (cf. stepCache).
 // caches[0] holds the unmasked step-0 pass; caches[s+1] holds decision step
@@ -93,8 +93,8 @@ func (m *Model) newTrainScratch() *trainScratch {
 	return ts
 }
 
-// denseBackwardVec is dense.backward on kernels: gb/gw accumulate the bias
-// and rank-1 weight gradients (Axpy per output row, zero-gradient rows
+// denseBackwardVec is a dense layer's backward on kernels: gb/gw accumulate
+// the bias and rank-1 weight gradients (Axpy per output row, zero-gradient rows
 // skipped), and when gin is non-nil the input gradient is accumulated over
 // output-unit pairs via Axpy2 (one pass over gin per pair).
 func denseBackwardVec(d *dense, x, gout, gw, gb, gin []float64) {
@@ -138,7 +138,8 @@ func denseBackwardVec(d *dense, x, gout, gw, gb, gin []float64) {
 	}
 }
 
-// gluBackwardInto is gluBackward writing into the preallocated gz.
+// gluBackwardInto maps the GLU output gradient gout back to z's gradient,
+// written into gz.
 func gluBackwardInto(gz, z, gout []float64) {
 	h := len(z) / 2
 	for i := 0; i < h; i++ {
@@ -148,7 +149,8 @@ func gluBackwardInto(gz, z, gout []float64) {
 	}
 }
 
-// sparsemaxBackwardInto is sparsemaxBackward writing into out.
+// sparsemaxBackwardInto maps the output gradient g through the sparsemax
+// projection with the given support, written into out.
 func sparsemaxBackwardInto(out, g []float64, support []bool) {
 	sum, cnt := 0.0, 0
 	for i, s := range support {
@@ -232,8 +234,8 @@ func (m *Model) forwardTrain(x []float64, ts *trainScratch) float64 {
 	return linalg.Dot(m.Out.W, agg) + m.Out.B[0]
 }
 
-// backwardTrain is backwardSample on the trainScratch: dL/dout for the
-// sample whose forward state is in ts (forwardTrain must have just run).
+// backwardTrain backpropagates dL/dout for the sample whose forward state
+// is in ts (forwardTrain must have just run), accumulating into g.
 func (m *Model) backwardTrain(x []float64, ts *trainScratch, gOut float64, g *grads) {
 	d := m.Config.DecisionDim
 	h := d + m.Config.AttentionDim

@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"github.com/hpc-repro/aiio/internal/linalg"
+	"github.com/hpc-repro/aiio/internal/nntrain"
 	"github.com/hpc-repro/aiio/internal/parallel"
 )
 
@@ -45,12 +46,6 @@ type Config struct {
 	// EarlyStoppingRounds stops training when the eval RMSE stalls.
 	EarlyStoppingRounds int
 	Seed                int64
-	// ReferenceKernels routes training through the original allocating
-	// per-sample forward/backward (forwardSample/backwardSample) instead of
-	// the scratch-slab kernel path. The two paths compute the same gradients
-	// up to FP reassociation; the flag exists for equivalence tests, in the
-	// spirit of gbdt's DisableHistSubtraction.
-	ReferenceKernels bool
 	// WarmDriftTol is the input-drift score above which CanWarmStart
 	// rejects seeding from a previous model (0 means DefaultWarmDriftTol).
 	WarmDriftTol float64
@@ -94,25 +89,6 @@ func (d *dense) forward(x []float64) []float64 {
 	return out
 }
 
-// backward accumulates gradients into gw/gb and returns dL/dx.
-func (d *dense) backward(x, gout, gw, gb []float64) []float64 {
-	gin := make([]float64, d.In)
-	for o := 0; o < d.Out; o++ {
-		g := gout[o]
-		if g == 0 {
-			continue
-		}
-		gb[o] += g
-		w := d.W[o*d.In : (o+1)*d.In]
-		gwRow := gw[o*d.In : (o+1)*d.In]
-		for j := range gin {
-			gwRow[j] += g * x[j]
-			gin[j] += g * w[j]
-		}
-	}
-	return gin
-}
-
 // Model is a trained TabNet regressor.
 type Model struct {
 	Config Config
@@ -137,38 +113,10 @@ type Model struct {
 	EvalLoss  []float64
 	BestEpoch int
 
-	// invStd caches 1/Std with a unit-scale guard for zero or non-finite
-	// entries (legacy serialized models predate the fit-time clamp). Both
-	// fields are unexported, so gob ignores them and the zero value works
-	// for decoded models.
-	invOnce  sync.Once
-	invStd   []float64
-	stdShift []float64
+	// scaler caches the standardization coefficients of Mean/Std.
+	scaler nntrain.Scaler
 	// scratch pools per-worker inference buffers (see infScratch).
 	scratch sync.Pool
-}
-
-// inputInvStd returns the cached per-column reciprocal of Std. Entries that
-// are zero, negative, or non-finite fall back to 1 so standardization can
-// never manufacture a NaN at inference time.
-func (m *Model) inputInvStd() []float64 {
-	m.invOnce.Do(func() {
-		inv := make([]float64, len(m.Std))
-		for j, s := range m.Std {
-			if s > 0 && !math.IsInf(s, 1) {
-				inv[j] = 1 / s
-			} else {
-				inv[j] = 1
-			}
-		}
-		m.invStd = inv
-		shift := make([]float64, len(m.Std))
-		for j := range shift {
-			shift[j] = -m.Mean[j] * inv[j]
-		}
-		m.stdShift = shift
-	})
-	return m.invStd
 }
 
 // sparsemaxTau returns the threshold tau of the sparsemax projection of v
@@ -265,28 +213,6 @@ func sparsemax(v []float64) (out []float64, support []bool) {
 	return out, support
 }
 
-// sparsemaxBackward maps the output gradient through the projection.
-func sparsemaxBackward(g []float64, support []bool) []float64 {
-	sum, cnt := 0.0, 0
-	for i, s := range support {
-		if s {
-			sum += g[i]
-			cnt++
-		}
-	}
-	out := make([]float64, len(g))
-	if cnt == 0 {
-		return out
-	}
-	mean := sum / float64(cnt)
-	for i, s := range support {
-		if s {
-			out[i] = g[i] - mean
-		}
-	}
-	return out
-}
-
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // glu splits z into halves (u, v) and returns u ⊙ σ(v).
@@ -297,18 +223,6 @@ func glu(z []float64) []float64 {
 		out[i] = z[i] * sigmoid(z[h+i])
 	}
 	return out
-}
-
-// gluBackward maps the output gradient back to z's gradient.
-func gluBackward(z, gout []float64) []float64 {
-	h := len(z) / 2
-	gz := make([]float64, len(z))
-	for i := 0; i < h; i++ {
-		s := sigmoid(z[h+i])
-		gz[i] = gout[i] * s
-		gz[h+i] = gout[i] * z[i] * s * (1 - s)
-	}
-	return gz
 }
 
 // stepCache holds per-step forward state for backprop.
@@ -392,16 +306,16 @@ func (m *Model) forwardSample(x []float64, caches *[]stepCache) float64 {
 // vector of the cache-free forward pass plus, on the scratch that owns the
 // batch call, the standardized input block and the shared-layer transpose.
 type rowState struct {
-	z       []float64 // 2H pre-activation
-	hb      []float64 // H shared GLU output
-	z2      []float64 // 2H step pre-activation
-	hs      []float64 // H step GLU output
-	a       []float64 // attention features
-	agg     []float64 // aggregated decisions
-	logits  []float64
-	prior   []float64
-	cand    []float64 // sparsemax candidate buffer (descending values)
-	candIdx []int32   // sparsemax candidate indices, ascending
+	z        []float64 // 2H pre-activation
+	hb       []float64 // H shared GLU output
+	z2       []float64 // 2H step pre-activation
+	hs       []float64 // H step GLU output
+	a        []float64 // attention features
+	agg      []float64 // aggregated decisions
+	logits   []float64
+	prior    []float64
+	cand     []float64 // sparsemax candidate buffer (descending values)
+	candIdx  []int32   // sparsemax candidate indices, ascending
 	sup      []int32   // sparsemax support indices, ascending
 	supPrior []float64 // decayed prior values for the support indices
 }
@@ -431,18 +345,6 @@ func resize(p *[]float64, n int) []float64 {
 	}
 	*p = (*p)[:n]
 	return *p
-}
-
-// reshapeMat resizes m to rows x cols, reusing its backing array when
-// large enough. Contents are unspecified after the call.
-func reshapeMat(m *linalg.Matrix, rows, cols int) *linalg.Matrix {
-	n := rows * cols
-	if cap(m.Data) < n {
-		m.Data = make([]float64, n)
-	}
-	m.Data = m.Data[:n]
-	m.Rows, m.Cols = rows, cols
-	return m
 }
 
 // sharedTranspose rebuilds buf as the In x Out transpose of Shared.W so
@@ -600,7 +502,7 @@ func (m *Model) forwardInferenceZ2(x0, x1, z0a, z0b []float64, sharedT []float64
 		linalg.Dot(m.Out.W, r1.agg) + m.Out.B[0]
 }
 
-// grads bundles the gradient buffers, index-aligned with params().
+// grads bundles the gradient buffers of every learned tensor.
 type grads struct {
 	sharedW, sharedB []float64
 	stepW, stepB     [][]float64
@@ -624,79 +526,9 @@ func (m *Model) newGrads() *grads {
 	return g
 }
 
-func (g *grads) zero() {
-	zero := func(v []float64) {
-		for i := range v {
-			v[i] = 0
-		}
-	}
-	zero(g.sharedW)
-	zero(g.sharedB)
-	zero(g.outW)
-	zero(g.outB)
-	for s := range g.stepW {
-		zero(g.stepW[s])
-		zero(g.stepB[s])
-		zero(g.attW[s])
-		zero(g.attB[s])
-	}
-}
-
-// backwardSample backpropagates dL/dout for one sample through the cached
-// forward state.
-func (m *Model) backwardSample(x []float64, caches []stepCache, gOut float64, g *grads) {
-	d := m.Config.DecisionDim
-	agg := caches[0].dPreRelu // aggregate stashed by forwardSample
-
-	// Output layer.
-	gAgg := m.Out.backward(agg, []float64{gOut}, g.outW, g.outB)
-
-	// gA accumulates the gradient flowing into the attention features of
-	// each earlier step (used by the next step's attentive transformer).
-	gANext := make([]float64, m.Config.AttentionDim)
-
-	for s := m.Config.Steps - 1; s >= 0; s-- {
-		c := caches[s+1]
-		// Gradient into this step's transformer output hs = [d | a].
-		gh := make([]float64, d+m.Config.AttentionDim)
-		for i := 0; i < d; i++ {
-			if c.dPreRelu[i] > 0 {
-				gh[i] = gAgg[i]
-			}
-		}
-		copy(gh[d:], gANext)
-
-		gz2 := gluBackward(c.stepZ, gh)
-		ghShared := m.StepFC[s].backward(c.sharedH, gz2, g.stepW[s], g.stepB[s])
-		gz := gluBackward(c.sharedZ, ghShared)
-		gxm := m.Shared.backward(c.xm, gz, g.sharedW, g.sharedB)
-
-		// xm = mask ⊙ x → gradient to the mask.
-		gMask := make([]float64, m.NumFeatures)
-		for i := range gMask {
-			gMask[i] = gxm[i] * x[i]
-		}
-		gLogits := sparsemaxBackward(gMask, c.support)
-		// logits = raw * prior (prior treated as constant).
-		gRaw := make([]float64, m.NumFeatures)
-		for i := range gRaw {
-			gRaw[i] = gLogits[i] * c.prior[i]
-		}
-		prevA := caches[s].a
-		gANext = m.AttFC[s].backward(prevA, gRaw, g.attW[s], g.attB[s])
-	}
-
-	// Step 0 attention features came from the unmasked shared pass.
-	c0 := caches[0]
-	gh0 := make([]float64, d+m.Config.AttentionDim)
-	copy(gh0[d:], gANext)
-	gz0 := gluBackward(c0.sharedZ, gh0)
-	m.Shared.backward(x, gz0, g.sharedW, g.sharedB)
-}
-
 // Train fits the model with Adam and early stopping.
 func Train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64) (*Model, error) {
-	return train(cfg, x, y, evalX, evalY, nil)
+	return train(cfg, x, y, evalX, evalY, nil, fastStep)
 }
 
 // TrainWarm fits like Train but seeds the network, standardizer, and target
@@ -709,10 +541,14 @@ func TrainWarm(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, 
 	if ok, _ := CanWarmStart(prev, cfg, x, y); !ok {
 		prev = nil
 	}
-	return train(cfg, x, y, evalX, evalY, prev)
+	return train(cfg, x, y, evalX, evalY, prev, fastStep)
 }
 
-func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model) (*Model, error) {
+// stepper builds the per-mini-batch training step of a fit of m; Train and
+// TrainWarm use fastStep.
+type stepper func(m *Model) func(xs *linalg.Matrix, ys []float64, batch []int)
+
+func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, evalY []float64, prev *Model, newStep stepper) (*Model, error) {
 	if x.Rows == 0 {
 		return nil, errors.New("tabnet: empty training set")
 	}
@@ -744,7 +580,8 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 		// input scaling, so it must not be refit here.
 		m.adoptPrevious(prev)
 	} else {
-		m.fitStandardizer(x, y)
+		s := nntrain.FitStandardizer(x, y)
+		m.Mean, m.Std, m.ConstantCols, m.YMean, m.YStd = s.Mean, s.Std, s.ConstantCols, s.YMean, s.YStd
 		m.Shared = newDense(x.Cols, 2*h, rng)
 		for s := 0; s < cfg.Steps; s++ {
 			m.StepFC = append(m.StepFC, newDense(h, 2*h, rng))
@@ -753,202 +590,69 @@ func train(cfg Config, x *linalg.Matrix, y []float64, evalX *linalg.Matrix, eval
 		m.Out = newDense(cfg.DecisionDim, 1, rng)
 	}
 
-	g := m.newGrads()
-	opt := newAdamSet(g)
-
-	xs := m.standardizeMatrix(x)
-	ys := make([]float64, len(y))
-	for i, v := range y {
-		ys[i] = (v - m.YMean) / m.YStd
+	loop := nntrain.Loop{
+		Epochs:              cfg.Epochs,
+		BatchSize:           cfg.BatchSize,
+		EarlyStoppingRounds: cfg.EarlyStoppingRounds,
+		Rng:                 rng,
+		Standardize:         m.standardizeMatrix,
+		YMean:               m.YMean,
+		YStd:                m.YStd,
+		Step:                newStep(m),
+		Predict:             m.predictStandardized,
+		State:               m.weights(),
+		Warm:                prev != nil,
 	}
-	var evalXS *linalg.Matrix
-	if evalX != nil && evalX.Rows > 0 {
-		evalXS = m.standardizeMatrix(evalX)
-	}
-
-	order := make([]int, x.Rows)
-	for i := range order {
-		order[i] = i
-	}
-	best := math.Inf(1)
-	sinceBest := 0
-	var snapshot *Model
-	if prev != nil && evalXS != nil {
-		// The warm seed is already a working model: score it before the
-		// first epoch so early stopping restores it if no epoch improves.
-		best = rmseSlices(m.predictStandardized(evalXS), evalY)
-		m.BestEpoch = -1
-		snapshot = m.cloneWeights()
-	}
-
-	// The fast path reuses one trainScratch (per-step caches, every backward
-	// temporary) for all samples of all epochs; only the reference path
-	// allocates per sample.
-	var ts *trainScratch
-	if !cfg.ReferenceKernels {
-		ts = m.newTrainScratch()
-	}
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for lo := 0; lo < len(order); lo += cfg.BatchSize {
-			hi := lo + cfg.BatchSize
-			if hi > len(order) {
-				hi = len(order)
-			}
-			g.zero()
-			inv := 1 / float64(hi-lo)
-			if ts != nil {
-				for _, i := range order[lo:hi] {
-					pred := m.forwardTrain(xs.Row(i), ts)
-					m.backwardTrain(xs.Row(i), ts, (pred-ys[i])*inv, g)
-				}
-			} else {
-				for _, i := range order[lo:hi] {
-					var caches []stepCache
-					pred := m.forwardSample(xs.Row(i), &caches)
-					m.backwardSample(xs.Row(i), caches, (pred-ys[i])*inv, g)
-				}
-			}
-			opt.step(m, g, cfg.LearningRate, cfg.ReferenceKernels)
-		}
-		m.TrainLoss = append(m.TrainLoss, m.rmseStandardized(xs, ys))
-		if evalXS != nil {
-			e := rmseSlices(m.predictStandardized(evalXS), evalY)
-			m.EvalLoss = append(m.EvalLoss, e)
-			if e < best-1e-12 {
-				best = e
-				m.BestEpoch = epoch
-				sinceBest = 0
-				snapshot = m.cloneWeights()
-			} else {
-				sinceBest++
-				if cfg.EarlyStoppingRounds > 0 && sinceBest >= cfg.EarlyStoppingRounds {
-					break
-				}
-			}
-		} else {
-			m.BestEpoch = epoch
-		}
-	}
-	if snapshot != nil {
-		m.restoreWeights(snapshot)
-	}
+	m.TrainLoss, m.EvalLoss, m.BestEpoch = loop.Run(x, y, evalX, evalY)
 	return m, nil
 }
 
-// adamSet carries Adam state for every tensor.
-type adamSet struct {
-	ms, vs [][]float64
-	t      int
+// fastStep is the production training step: every sample of the mini-batch
+// runs forwardTrain/backwardTrain on one trainScratch reused across the
+// whole fit, accumulating the MSE gradient at 1/batch scale, then Adam
+// updates every tensor.
+func fastStep(m *Model) func(xs *linalg.Matrix, ys []float64, batch []int) {
+	g := m.newGrads()
+	opt := nntrain.NewAdam(m.weights(), g.list(), m.Config.LearningRate)
+	ts := m.newTrainScratch()
+	return func(xs *linalg.Matrix, ys []float64, batch []int) {
+		opt.ZeroGrad()
+		inv := 1 / float64(len(batch))
+		for _, i := range batch {
+			pred := m.forwardTrain(xs.Row(i), ts)
+			m.backwardTrain(xs.Row(i), ts, (pred-ys[i])*inv, g)
+		}
+		opt.Step()
+	}
 }
 
-func tensorsOf(m *Model, g *grads) (weights, gradList [][]float64) {
-	weights = [][]float64{m.Shared.W, m.Shared.B, m.Out.W, m.Out.B}
-	gradList = [][]float64{g.sharedW, g.sharedB, g.outW, g.outB}
+// weights lists every learned tensor; they are both the Adam tensors and the
+// early-stopping snapshot, index-aligned with grads.list.
+func (m *Model) weights() [][]float64 {
+	w := [][]float64{m.Shared.W, m.Shared.B, m.Out.W, m.Out.B}
 	for s := range m.StepFC {
-		weights = append(weights, m.StepFC[s].W, m.StepFC[s].B, m.AttFC[s].W, m.AttFC[s].B)
-		gradList = append(gradList, g.stepW[s], g.stepB[s], g.attW[s], g.attB[s])
+		w = append(w, m.StepFC[s].W, m.StepFC[s].B, m.AttFC[s].W, m.AttFC[s].B)
 	}
-	return weights, gradList
+	return w
 }
 
-func newAdamSet(g *grads) *adamSet {
-	a := &adamSet{}
-	add := func(v []float64) {
-		a.ms = append(a.ms, make([]float64, len(v)))
-		a.vs = append(a.vs, make([]float64, len(v)))
-	}
-	add(g.sharedW)
-	add(g.sharedB)
-	add(g.outW)
-	add(g.outB)
+// list returns the gradient buffers index-aligned with Model.weights.
+func (g *grads) list() [][]float64 {
+	l := [][]float64{g.sharedW, g.sharedB, g.outW, g.outB}
 	for s := range g.stepW {
-		add(g.stepW[s])
-		add(g.stepB[s])
-		add(g.attW[s])
-		add(g.attB[s])
+		l = append(l, g.stepW[s], g.stepB[s], g.attW[s], g.attB[s])
 	}
-	return a
-}
-
-// step applies one Adam update across every tensor. The fast path runs the
-// vectorized linalg.AdamStep; reference keeps the original scalar loop
-// (with the textbook bias-correction divisions) as the equivalence-mode
-// baseline.
-func (a *adamSet) step(m *Model, g *grads, lr float64, reference bool) {
-	a.t++
-	b1, b2, eps := 0.9, 0.999, 1e-8
-	c1 := 1 - math.Pow(b1, float64(a.t))
-	c2 := 1 - math.Pow(b2, float64(a.t))
-	weights, gradList := tensorsOf(m, g)
-	for ti := range weights {
-		w, gr := weights[ti], gradList[ti]
-		mm, vv := a.ms[ti], a.vs[ti]
-		if !reference {
-			linalg.AdamStep(w, mm, vv, gr, b1, b2, c1, c2, lr, eps)
-			continue
-		}
-		for i := range w {
-			mm[i] = b1*mm[i] + (1-b1)*gr[i]
-			vv[i] = b2*vv[i] + (1-b2)*gr[i]*gr[i]
-			w[i] -= lr * (mm[i] / c1) / (math.Sqrt(vv[i]/c2) + eps)
-		}
-	}
-}
-
-func (m *Model) fitStandardizer(x *linalg.Matrix, y []float64) {
-	m.Mean = make([]float64, x.Cols)
-	m.Std = make([]float64, x.Cols)
-	n := float64(x.Rows)
-	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
-			m.Mean[j] += v
-		}
-	}
-	for j := range m.Mean {
-		m.Mean[j] /= n
-	}
-	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
-			d := v - m.Mean[j]
-			m.Std[j] += d * d
-		}
-	}
-	for j := range m.Std {
-		m.Std[j] = math.Sqrt(m.Std[j] / n)
-		if m.Std[j] < 1e-12 {
-			m.Std[j] = 1
-			m.ConstantCols = append(m.ConstantCols, j)
-		}
-	}
-	m.YMean = linalg.Mean(y)
-	s := 0.0
-	for _, v := range y {
-		d := v - m.YMean
-		s += d * d
-	}
-	m.YStd = math.Sqrt(s / n)
-	if m.YStd < 1e-12 {
-		m.YStd = 1
-	}
+	return l
 }
 
 func (m *Model) standardizeMatrix(x *linalg.Matrix) *linalg.Matrix {
-	return m.standardizeInto(linalg.NewMatrix(x.Rows, x.Cols), x)
+	return m.standardizeInto(&linalg.Matrix{}, x)
 }
 
 // standardizeInto writes the standardized rows of x into dst (resized as
-// needed) using the guarded reciprocal stddev.
+// needed).
 func (m *Model) standardizeInto(dst, x *linalg.Matrix) *linalg.Matrix {
-	inv := m.inputInvStd()
-	out := reshapeMat(dst, x.Rows, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		// (v-mean)/std computed as v*inv - mean*inv with a cached shift
-		// vector — one fused multiply-add per element.
-		linalg.ScaleShiftInto(out.Row(i), x.Row(i), inv, m.stdShift)
-	}
-	return out
+	return m.scaler.Into(dst, x, m.Mean, m.Std)
 }
 
 // predictParallelMinRows is the batch size below which the per-row forward
@@ -994,34 +698,12 @@ func (m *Model) predictStandardized(xs *linalg.Matrix) []float64 {
 	return out
 }
 
-// rmseStandardized scores the per-epoch training loss through the pooled
-// vectorized inference path (forwardSample and forwardInference agree to
-// float rounding; this is measurement, not training math).
-func (m *Model) rmseStandardized(xs *linalg.Matrix, ys []float64) float64 {
-	pred := m.predictStandardized(xs)
-	s := 0.0
-	for i := range ys {
-		d := (pred[i]-m.YMean)/m.YStd - ys[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(ys)))
-}
-
-func rmseSlices(pred, y []float64) float64 {
-	s := 0.0
-	for i := range y {
-		d := pred[i] - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(y)))
-}
-
 // Predict returns the prediction for one raw feature vector.
 func (m *Model) Predict(x []float64) float64 {
 	sc := m.getScratch()
 	sc.sharedT = m.sharedTranspose(sc.sharedT)
-	xr := reshapeMat(&sc.xs, 1, len(x))
-	inv := m.inputInvStd()
+	xr := sc.xs.Reshape(1, len(x))
+	inv, _ := m.scaler.Coeffs(m.Mean, m.Std)
 	for j, v := range x {
 		xr.Data[j] = (v - m.Mean[j]) * inv[j]
 	}
@@ -1059,21 +741,6 @@ func (m *Model) ExplainMask(x []float64) []float64 {
 	return out
 }
 
-func (m *Model) cloneWeights() *Model {
-	cp := &Model{}
-	cd := func(d dense) dense {
-		return dense{In: d.In, Out: d.Out,
-			W: append([]float64(nil), d.W...), B: append([]float64(nil), d.B...)}
-	}
-	cp.Shared = cd(m.Shared)
-	cp.Out = cd(m.Out)
-	for s := range m.StepFC {
-		cp.StepFC = append(cp.StepFC, cd(m.StepFC[s]))
-		cp.AttFC = append(cp.AttFC, cd(m.AttFC[s]))
-	}
-	return cp
-}
-
 // adoptPrevious deep-copies prev's standardizer, target scaling, and
 // learned tensors into m as the warm-start seed. prev is never aliased: the
 // previous generation may still be serving predictions concurrently.
@@ -1093,19 +760,6 @@ func (m *Model) adoptPrevious(prev *Model) {
 	for s := range prev.StepFC {
 		m.StepFC[s] = cd(prev.StepFC[s])
 		m.AttFC[s] = cd(prev.AttFC[s])
-	}
-}
-
-func (m *Model) restoreWeights(snap *Model) {
-	copy(m.Shared.W, snap.Shared.W)
-	copy(m.Shared.B, snap.Shared.B)
-	copy(m.Out.W, snap.Out.W)
-	copy(m.Out.B, snap.Out.B)
-	for s := range m.StepFC {
-		copy(m.StepFC[s].W, snap.StepFC[s].W)
-		copy(m.StepFC[s].B, snap.StepFC[s].B)
-		copy(m.AttFC[s].W, snap.AttFC[s].W)
-		copy(m.AttFC[s].B, snap.AttFC[s].B)
 	}
 }
 

@@ -225,3 +225,25 @@ func TestTabNetEarlyStopping(t *testing.T) {
 		t.Error("early stopping never triggered")
 	}
 }
+
+// TestEarlyStoppingRestoresBestEpoch pins the snapshot: once early stopping
+// fires, the shipped network must score exactly the best epoch's recorded
+// eval RMSE.
+func TestEarlyStoppingRestoresBestEpoch(t *testing.T) {
+	x, y := synth(600, 6, 41)
+	ex, ey := synth(150, 6, 42)
+	cfg := smallConfig()
+	cfg.LearningRate = 5e-2
+	cfg.EarlyStoppingRounds = 3
+	cfg.Epochs = 200
+	m, err := Train(cfg, x, y, ex, ey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.BestEpoch < 0 || m.BestEpoch >= len(m.EvalLoss)-1 {
+		t.Fatalf("early stopping did not fire after a best epoch: best %d of %d epochs", m.BestEpoch, len(m.EvalLoss))
+	}
+	if got, want := rmseOf(m.PredictBatch(ex), ey), m.EvalLoss[m.BestEpoch]; got != want {
+		t.Fatalf("restored network scores %v, best epoch recorded %v", got, want)
+	}
+}

@@ -1,15 +1,18 @@
 package tabnet
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"github.com/hpc-repro/aiio/internal/shap"
 )
 
 // The kernelized training path (forwardTrain/backwardTrain) must track the
-// scalar reference path (Config.ReferenceKernels) to FP-reassociation
-// accuracy. Training draws no RNG inside the batch loop, so with the same
-// seed both paths see the same shuffles; divergence is limited to rounding
-// from the fused GLU polynomial exp, FMA products, and paired input-gradient
+// scalar reference step (referenceStep) to FP-reassociation accuracy.
+// Training draws no RNG inside the batch loop, so with the same seed both
+// paths see the same shuffles; divergence is limited to rounding from the
+// fused GLU polynomial exp, FMA products, and paired input-gradient
 // accumulation, compounded through Adam. The documented training-parity
 // tolerance is 1e-6 relative on predictions after a 5-epoch fit — the same
 // contract BENCH_training.json records for the end-to-end diagnose parity.
@@ -22,13 +25,11 @@ func trainBothPaths(t *testing.T, cfg Config, epochs int) (fast, ref *Model) {
 	cfg.Epochs = epochs
 	cfg.EarlyStoppingRounds = 0
 
-	cfg.ReferenceKernels = false
 	fast, err := Train(cfg, x, y, ex, ey)
 	if err != nil {
 		t.Fatalf("fast train: %v", err)
 	}
-	cfg.ReferenceKernels = true
-	ref, err = Train(cfg, x, y, ex, ey)
+	ref, err = train(cfg, x, y, ex, ey, nil, referenceStep)
 	if err != nil {
 		t.Fatalf("reference train: %v", err)
 	}
@@ -79,8 +80,7 @@ func TestTrainFastConvergesLikeReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ReferenceKernels = true
-	ref, err := Train(cfg, x, y, ex, ey)
+	ref, err := train(cfg, x, y, ex, ey, nil, referenceStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,5 +88,52 @@ func TestTrainFastConvergesLikeReference(t *testing.T) {
 	er := rmseOf(ref.PredictBatch(ex), ey)
 	if ef > er*1.25+0.05 {
 		t.Fatalf("fast path converged worse: fast RMSE %v vs reference %v", ef, er)
+	}
+}
+
+// TestSHAPParityWithReference is the end-to-end guard: networks fit on the
+// fixture frame through the production and the reference step must give the
+// same Kernel SHAP explanation (f(x) and every per-counter contribution)
+// within 1e-4 relative, the training parity composed with SHAP's masked
+// re-evaluations.
+func TestSHAPParityWithReference(t *testing.T) {
+	const shapParityTol = 1e-4
+	tr, ev := fixtureFrame().Split(1, 0.5)
+	cfg := DefaultConfig()
+	cfg.Epochs = 5
+	cfg.EarlyStoppingRounds = 0
+	fast, err := Train(cfg, tr.X, tr.Y, ev.X, ev.Y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := train(cfg, tr.X, tr.Y, ev.X, ev.Y, nil, referenceStep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := shap.DefaultConfig()
+	scfg.MaxExact = 10
+	scfg.NSamples = 1024
+	near := func(what string, a, b float64) {
+		t.Helper()
+		if math.Abs(a-b) > shapParityTol*math.Max(1, math.Abs(b)) {
+			t.Errorf("%s diverged: fast=%v ref=%v", what, a, b)
+		}
+	}
+	// The slowest eval job (the kind AIIO exists to diagnose) and the first.
+	slowest := 0
+	for i, y := range ev.Y {
+		if y < ev.Y[slowest] {
+			slowest = i
+		}
+	}
+	for _, row := range []int{slowest, 0} {
+		x := ev.X.Row(row)
+		ef := shap.New(fast.PredictBatch, nil, scfg).Explain(x)
+		er := shap.New(ref.PredictBatch, nil, scfg).Explain(x)
+		near("f(x)", ef.FX, er.FX)
+		near("base", ef.Base, er.Base)
+		for j := range er.Phi {
+			near(fmt.Sprintf("row %d phi[%d]", row, j), ef.Phi[j], er.Phi[j])
+		}
 	}
 }
